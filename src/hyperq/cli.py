@@ -10,7 +10,6 @@ one verification record failed.
 """
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import click
@@ -50,38 +49,10 @@ _OPERATORS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated bundle of the options shared by the subcommands."""
-
-    subcommand: str
-    input_path: str | None = None
-    output_path: str | None = None
-    tol: float = 1e-10
-    max_iter: int = 100_000
-    seed: int = 0
-    format: str = "text"
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ArgumentRangeError(f"--tol must be > 0, got {self.tol}")
-        if self.max_iter < 1:
-            raise ArgumentRangeError(f"--max-iter must be >= 1, got {self.max_iter}")
-        if self.format not in FORMATS:
-            raise ArgumentRangeError(f"--format must be one of {FORMATS}, got {self.format}")
-
-
 class _Fail(click.ClickException):
     def __init__(self, message: str, exit_code: int):
         super().__init__(message)
         self.exit_code = exit_code
-
-
-def _config(subcommand: str, **kw) -> RunConfig:
-    try:
-        return RunConfig(subcommand=subcommand, **kw)
-    except ArgumentRangeError as exc:
-        raise click.UsageError(str(exc)) from None
 
 
 def _read_hypergraph(path: str) -> Hypergraph:
@@ -137,7 +108,12 @@ def gen():
     """Write one of the built-in constructions as a hypergraph file."""
 
 
-def _emit(hg: Hypergraph, out: str | None) -> None:
+def _emit(build, out: str | None) -> None:
+    """Write the hypergraph that build() returns; its ArgumentRangeError is a usage error."""
+    try:
+        hg = build()
+    except ArgumentRangeError as exc:
+        raise click.UsageError(str(exc)) from None
     summary = f"r={hg.r} n={hg.n} m={hg.m}"
     if out is None:
         click.echo(serialize(hg), nl=False)
@@ -148,13 +124,15 @@ def _emit(hg: Hypergraph, out: str | None) -> None:
 
 
 _OUT_OPT = click.option("--out", metavar="FILE", default=None, help="Write here instead of stdout.")
+_TOL_OPT = click.option("--tol", type=click.FloatRange(min=0, min_open=True), default=1e-10, show_default=True)
+_MAX_ITER_OPT = click.option("--max-iter", type=click.IntRange(min=1), default=100_000, show_default=True)
 
 
 @gen.command("fano")
 @_OUT_OPT
 def gen_fano(out):
     """The 7-point projective plane as a 3-graph."""
-    _emit(build_fano(), out)
+    _emit(build_fano, out)
 
 
 @gen.command("bn")
@@ -162,11 +140,7 @@ def gen_fano(out):
 @_OUT_OPT
 def gen_bn(n, out):
     """Balanced complete two-part 3-graph on N vertices."""
-    try:
-        hg, _ = build_bn(n)
-    except ArgumentRangeError as exc:
-        raise click.UsageError(str(exc)) from None
-    _emit(hg, out)
+    _emit(lambda: build_bn(n)[0], out)
 
 
 @gen.command("two-part")
@@ -175,11 +149,7 @@ def gen_bn(n, out):
 @_OUT_OPT
 def gen_two_part(a, b, out):
     """Complete two-part 3-graph with part sizes A and B."""
-    try:
-        hg, _ = build_two_part_complete(a, b)
-    except ArgumentRangeError as exc:
-        raise click.UsageError(str(exc)) from None
-    _emit(hg, out)
+    _emit(lambda: build_two_part_complete(a, b)[0], out)
 
 
 @gen.command("complete")
@@ -188,11 +158,7 @@ def gen_two_part(a, b, out):
 @_OUT_OPT
 def gen_complete(n, r, out):
     """Complete R-graph on N vertices."""
-    try:
-        hg = build_complete(n, r)
-    except ArgumentRangeError as exc:
-        raise click.UsageError(str(exc)) from None
-    _emit(hg, out)
+    _emit(lambda: build_complete(n, r), out)
 
 
 @gen.command("expansion")
@@ -204,11 +170,7 @@ def gen_expansion(base_file, r, out):
     base = _read_hypergraph(base_file)
     if base.r != 2:
         raise _Fail(f"{base_file}: expansion needs a 2-graph, got r={base.r}", 3)
-    try:
-        hg = build_expansion(base.edges, base.n, r)
-    except ArgumentRangeError as exc:
-        raise click.UsageError(str(exc)) from None
-    _emit(hg, out)
+    _emit(lambda: build_expansion(base.edge_array, base.n, r), out)
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +181,8 @@ def gen_expansion(base_file, r, out):
 @main.command("spectral")
 @click.argument("input_path", metavar="FILE")
 @click.option("--operator", "-o", default="q", show_default=True, help="q|signless_laplacian or a|adjacency.")
-@click.option("--tol", default=1e-10, show_default=True)
-@click.option("--max-iter", default=100_000, show_default=True)
+@_TOL_OPT
+@_MAX_ITER_OPT
 @click.option("--format", "fmt", type=click.Choice(FORMATS), default="text", show_default=True)
 @click.option("--eigenvector", "with_vector", is_flag=True, help="Include the eigenvector in the report.")
 @_OUT_OPT
@@ -229,9 +191,8 @@ def cmd_spectral(ctx, input_path, operator, tol, max_iter, fmt, with_vector, out
     """Tensor spectral radius of the hypergraph in FILE."""
     if operator not in _OPERATORS:
         raise click.UsageError(f"unknown operator {operator!r}; use one of {sorted(_OPERATORS)}")
-    cfg = _config("spectral", input_path=input_path, output_path=out, tol=tol, max_iter=max_iter, format=fmt)
-    hg = _read_hypergraph(cfg.input_path)
-    res = spectral_radius(hg, _OPERATORS[operator], tol=cfg.tol, max_iter=cfg.max_iter)
+    hg = _read_hypergraph(input_path)
+    res = spectral_radius(hg, _OPERATORS[operator], tol=tol, max_iter=max_iter)
 
     fields = {
         "operator": _OPERATORS[operator],
@@ -244,9 +205,9 @@ def cmd_spectral(ctx, input_path, operator, tol, max_iter, fmt, with_vector, out
     }
     if with_vector:
         fields["eigenvector"] = [float(v) for v in res.eigenvector]
-    if cfg.format == "json":
+    if fmt == "json":
         text = json.dumps(fields, indent=2) + "\n"
-    elif cfg.format == "csv":
+    elif fmt == "csv":
         keys = [k for k in fields if k != "eigenvector"]
         row = [repr(fields[k]) if isinstance(fields[k], float) else str(fields[k]).lower() if isinstance(fields[k], bool) else str(fields[k]) for k in keys]
         text = ",".join(keys) + "\n" + ",".join(row) + "\n"
@@ -262,7 +223,7 @@ def cmd_spectral(ctx, input_path, operator, tol, max_iter, fmt, with_vector, out
             else:
                 lines.append(f"{k} = {v}")
         text = "\n".join(lines) + "\n"
-    _write_text(text, cfg.output_path)
+    _write_text(text, out)
     if not res.converged:
         ctx.exit(4)
 
@@ -283,8 +244,7 @@ def cmd_check(ctx, what, input_path, fmt, out):
 
     Exit 0 when the input is fano-free / 2-colorable, 1 otherwise.
     """
-    cfg = _config("check", input_path=input_path, output_path=out, format=fmt)
-    hg = _read_hypergraph(cfg.input_path)
+    hg = _read_hypergraph(input_path)
     if what == "fano":
         if hg.r != 3:
             raise _Fail(f"{input_path}: fano check needs a 3-graph, got r={hg.r}", 3)
@@ -300,16 +260,16 @@ def cmd_check(ctx, what, input_path, fmt, out):
         witness = list(coloring.assignment) if ok else None
         witness_name = "coloring"
 
-    if cfg.format == "json":
+    if fmt == "json":
         text = json.dumps({"check": what, "verdict": verdict, "ok": ok, witness_name: witness}, indent=2) + "\n"
-    elif cfg.format == "csv":
+    elif fmt == "csv":
         cell = "" if witness is None else " ".join(map(str, witness))
         text = f"check,verdict,{witness_name}\n{what},{verdict},{cell}\n"
     else:
         text = verdict + "\n"
         if witness is not None:
             text += f"{witness_name}: " + " ".join(map(str, witness)) + "\n"
-    _write_text(text, cfg.output_path)
+    _write_text(text, out)
     ctx.exit(0 if ok else 1)
 
 
@@ -324,8 +284,8 @@ def cmd_check(ctx, what, input_path, fmt, out):
 @click.option("--sigma", default=0.05, show_default=True, help="Slack budget for the criterion conditions.")
 @click.option("--samples", default=20, show_default=True, help="Sample count per size for extremal.")
 @click.option("--seed", default=0, show_default=True)
-@click.option("--tol", default=1e-10, show_default=True)
-@click.option("--max-iter", default=100_000, show_default=True)
+@_TOL_OPT
+@_MAX_ITER_OPT
 @click.option("--format", "fmt", type=click.Choice(FORMATS), default="text", show_default=True)
 @_OUT_OPT
 @click.pass_context
@@ -335,14 +295,13 @@ def cmd_verify(ctx, what, n_range, sigma, samples, seed, tol, max_iter, fmt, out
     Emits one record per check and size; exit 5 if any record fails.
     """
     lo, hi = _parse_range(n_range)
-    cfg = _config("verify", output_path=out, tol=tol, max_iter=max_iter, seed=seed, format=fmt)
     records: list[Record] = []
     try:
         if what == "bounds":
             for n in range(lo, hi + 1):
                 low, up = bn_q_bounds(n)
                 hg, _ = build_bn(n)
-                rho = spectral_radius(hg, tol=cfg.tol, max_iter=cfg.max_iter).rho
+                rho = spectral_radius(hg, tol=tol, max_iter=max_iter).rho
                 ok = low - 1e-6 <= rho <= up + 1e-6
                 records.append(Record("bounds", n, "operator=signless_laplacian", rho, f"{low!r}..{up!r}", ok))
         elif what == "splits":
@@ -361,17 +320,17 @@ def cmd_verify(ctx, what, n_range, sigma, samples, seed, tol, max_iter, fmt, out
         elif what == "deletion":
             for n in range(lo, hi + 1):
                 hg, _ = build_bn(n)
-                chk = check_deletion_lemma(hg, tol=cfg.tol)
+                chk = check_deletion_lemma(hg, tol=tol)
                 records.append(Record("deletion", n, f"B_{n} w={chk.w}", chk.lhs, chk.rhs, chk.passed))
         else:
             for n in range(lo, hi + 1):
-                rep = verify_extremality(n, samples=samples, rng_seed=cfg.seed)
+                rep = verify_extremality(n, samples=samples, rng_seed=seed)
                 records.append(
-                    Record("extremal", n, f"samples={samples} seed={cfg.seed}", rep.max_q, rep.q_reference, rep.passed)
+                    Record("extremal", n, f"samples={samples} seed={seed}", rep.max_q, rep.q_reference, rep.passed)
                 )
     except ArgumentRangeError as exc:
         raise click.UsageError(str(exc)) from None
-    _write_text(render(records, cfg.format), cfg.output_path)
+    _write_text(render(records, fmt), out)
     if not all(rec.passed for rec in records):
         ctx.exit(5)
 

@@ -9,6 +9,8 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import UniformityMismatchError
 from .hypergraph import Hypergraph, TwoColoring, build_fano
 
@@ -20,16 +22,14 @@ class Embedding:
     mapping: tuple[int, ...]
 
     def is_valid_for(self, host: Hypergraph, pattern: Hypergraph) -> bool:
-        if len(self.mapping) != pattern.n:
+        if len(self.mapping) != pattern.n or host.r != pattern.r:
             return False
         if len(set(self.mapping)) != pattern.n:
             return False
         if any(not 0 <= h < host.n for h in self.mapping):
             return False
-        host_edges = set(host.edges)
-        return all(
-            tuple(sorted(self.mapping[v] for v in f)) in host_edges for f in pattern.edges
-        )
+        images = np.sort(np.array(self.mapping)[pattern.edge_array], axis=1)
+        return all((host.edge_array == f).all(axis=1).any() for f in images)
 
 
 def contains_subgraph(host: Hypergraph, pattern: Hypergraph) -> Embedding | None:
@@ -93,9 +93,10 @@ def _embeddings(
     """
     pinned = pinned or {}
     completions: dict[tuple[int, ...], list[int]] = {}
-    for e in host.edges:
-        for i, v in enumerate(e):
-            completions.setdefault(e[:i] + e[i + 1 :], []).append(v)
+    cols = host.edge_array.T.tolist()
+    for i, col in enumerate(cols):
+        for others, v in zip(zip(*cols[:i], *cols[i + 1 :]), col):
+            completions.setdefault(others, []).append(v)
 
     pat_deg = pattern.degrees()
     host_deg = host.degrees()
@@ -168,13 +169,16 @@ def two_coloring(hg: Hypergraph) -> TwoColoring | None:
     vertex is forced to the other label.  Vertices with no incident edges
     get label 0.  The first decision vertex is fixed to label 0; the
     complement of a proper coloring is proper, so this loses nothing.
+    Decisions live on an explicit stack, so the search depth is not
+    bounded by the recursion limit.
     """
     n = hg.n
+    edges, incidence = hg.edges, hg.incidence
     labels = [-1] * n
     for v in range(n):
-        if not hg.incidence[v]:
+        if not incidence[v]:
             labels[v] = 0
-    order = [v for v in sorted(range(n), key=lambda v: (-hg.degree(v), v)) if labels[v] < 0]
+    order = [v for v in sorted(range(n), key=lambda v: (-len(incidence[v]), v)) if labels[v] < 0]
 
     def propagate(v: int, c: int, trail: list[int]) -> bool:
         stack = [(v, c)]
@@ -186,8 +190,8 @@ def two_coloring(hg: Hypergraph) -> TwoColoring | None:
                 continue
             labels[v] = c
             trail.append(v)
-            for idx in hg.incidence[v]:
-                edge = hg.edges[idx]
+            for idx in incidence[v]:
+                edge = edges[idx]
                 unassigned = -1
                 seen = set()
                 for u in edge:
@@ -204,20 +208,25 @@ def two_coloring(hg: Hypergraph) -> TwoColoring | None:
                     stack.append((unassigned, 1 - seen.pop()))
         return True
 
-    def solve(i: int, first: bool) -> bool:
+    decisions: list[tuple[int, int, list[int]]] = []  # (position in order, label, trail)
+    i, c = 0, 0
+    while True:
         while i < len(order) and labels[order[i]] >= 0:
             i += 1
         if i == len(order):
-            return True
-        v = order[i]
-        for c in (0,) if first else (0, 1):
-            trail: list[int] = []
-            if propagate(v, c, trail) and solve(i + 1, False):
-                return True
+            return TwoColoring.from_assignment(labels)
+        trail: list[int] = []
+        if propagate(order[i], c, trail):
+            decisions.append((i, c, trail))
+            i, c = i + 1, 0
+            continue
+        # undo back to a decision that can switch to label 1 (the first one never does)
+        while True:
             for u in trail:
                 labels[u] = -1
-        return False
-
-    if solve(0, True):
-        return TwoColoring.from_assignment(labels)
-    return None
+            if c == 0 and decisions:
+                c = 1
+                break
+            if not decisions:
+                return None
+            i, c, trail = decisions.pop()

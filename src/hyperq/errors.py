@@ -55,7 +55,3 @@ class TooSmallError(HyperqError, ValueError):
 
 class NoConvergenceError(HyperqError, RuntimeError):
     """An iterative search exhausted its budget without converging."""
-
-
-class IterationLimitError(HyperqError, RuntimeError):
-    """A power iteration hit max_iter before its bracket closed."""

@@ -1,10 +1,10 @@
-"""r-uniform hypergraphs: validated edge-list structure, builders, text I/O.
+"""r-uniform hypergraphs: validated edge-array structure, builders, text I/O.
 
-Vertices are the contiguous integers 0..n-1.  Edges are stored as sorted
-tuples, with the edge list itself kept in lexicographic order, so two
-hypergraphs compare equal iff they have the same uniformity, vertex count
-and edge set.  Instances are immutable after construction and safe to
-share between threads.
+Vertices are the contiguous integers 0..n-1.  The edges are stored once,
+as a read-only (m, r) integer array whose rows are strictly increasing
+and in lexicographic order, so two hypergraphs compare equal iff they
+have the same uniformity, vertex count and edge set.  Instances are
+immutable after construction and safe to share between threads.
 """
 
 import math
@@ -12,6 +12,8 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import (
     ArgumentRangeError,
@@ -26,14 +28,16 @@ Edge = tuple[int, ...]
 
 
 class Hypergraph:
-    """Immutable r-uniform hypergraph with an incidence index.
+    """Immutable r-uniform hypergraph.
 
     Attributes
     ----------
     r : uniformity, at least 2
     n : number of vertices (isolated vertices are allowed)
-    edges : lexicographically sorted tuple of edges, each a strictly
-        increasing r-tuple of vertex ids
+    edge_array : read-only (m, r) int64 array, the one stored form of the
+        edges; each row is strictly increasing and the rows are in
+        lexicographic order
+    edges : the same edges as a tuple of int tuples (built on first use)
     incidence : tuple mapping each vertex to the indices of its edges
 
     Raises
@@ -46,47 +50,36 @@ class Hypergraph:
         If an edge mentions a vertex outside [0, n).
     DuplicateEdgeError
         If two input edges are equal as vertex sets.  Duplicates are
-        never merged silently.
+        never merged silently.  Errors name the first faulty edge in input
+        order, checking arity, then range, then equality to an earlier edge.
     """
 
-    __slots__ = ("r", "n", "edges", "_incidence")
+    __slots__ = ("r", "n", "edge_array", "_edges", "_incidence")
 
     def __init__(self, r: int, n: int, edges: Iterable[Iterable[int]]):
         if r < 2:
             raise ArgumentRangeError(f"uniformity must be >= 2, got {r}")
         if n < 0:
             raise ArgumentRangeError(f"vertex count must be >= 0, got {n}")
-        canonical: list[Edge] = []
-        seen: set[Edge] = set()
-        for raw in edges:
-            e = tuple(sorted(raw))
-            if len(e) != r or len(set(e)) != r:
-                raise EdgeArityError(f"edge {tuple(raw)} must have exactly {r} distinct vertices")
-            if e[0] < 0 or e[-1] >= n:
-                raise VertexOutOfRangeError(f"edge {e} mentions a vertex outside [0, {n})")
-            if e in seen:
-                raise DuplicateEdgeError(f"duplicate edge {e}")
-            seen.add(e)
-            canonical.append(e)
-        canonical.sort()
+        array = _canonical_edges(r, n, edges)
+        array.flags.writeable = False
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(canonical))
+        object.__setattr__(self, "edge_array", array)
+        object.__setattr__(self, "_edges", None)
         object.__setattr__(self, "_incidence", None)
-
-    @classmethod
-    def _from_canonical(cls, r: int, n: int, edges: Iterable[Edge]) -> "Hypergraph":
-        # trusted path for builders whose output is sorted, distinct and
-        # in range by construction; skips the per-edge checks
-        hg = object.__new__(cls)
-        object.__setattr__(hg, "r", r)
-        object.__setattr__(hg, "n", n)
-        object.__setattr__(hg, "edges", tuple(edges))
-        object.__setattr__(hg, "_incidence", None)
-        return hg
 
     def __setattr__(self, name, value):
         raise AttributeError("Hypergraph is immutable")
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as lexicographically sorted int tuples (built on first use)."""
+        edges = self._edges
+        if edges is None:
+            edges = tuple(zip(*self.edge_array.T.tolist()))
+            object.__setattr__(self, "_edges", edges)
+        return edges
 
     @property
     def incidence(self) -> tuple[tuple[int, ...], ...]:
@@ -94,7 +87,7 @@ class Hypergraph:
         inc = self._incidence
         if inc is None:
             lists: list[list[int]] = [[] for _ in range(self.n)]
-            for idx, e in enumerate(self.edges):
+            for idx, e in enumerate(zip(*self.edge_array.T.tolist())):
                 for v in e:
                     lists[v].append(idx)
             inc = tuple(tuple(ix) for ix in lists)
@@ -104,19 +97,19 @@ class Hypergraph:
     @property
     def m(self) -> int:
         """Number of edges."""
-        return len(self.edges)
+        return len(self.edge_array)
 
     def degree(self, v: int) -> int:
         return len(self.incidence[v])
 
     def degrees(self) -> list[int]:
-        return [len(ix) for ix in self.incidence]
+        return np.bincount(self.edge_array.ravel(), minlength=self.n).tolist()
 
     def min_degree(self) -> int:
         """Minimum vertex degree; raises EmptyVertexSetError when n = 0."""
         if self.n == 0:
             raise EmptyVertexSetError("min_degree of a hypergraph with no vertices")
-        return min(len(ix) for ix in self.incidence)
+        return min(self.degrees())
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, ordered by smallest vertex.
@@ -131,10 +124,10 @@ class Hypergraph:
                 a = parent[a]
             return a
 
-        for e in self.edges:
-            root = find(e[0])
-            for v in e[1:]:
-                parent[find(v)] = root
+        first, *others = self.edge_array.T.tolist()
+        for col in others:
+            for u, v in zip(first, col):
+                parent[find(v)] = find(u)
         groups: dict[int, list[int]] = {}
         for v in range(self.n):
             groups.setdefault(find(v), []).append(v)
@@ -143,13 +136,64 @@ class Hypergraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hypergraph):
             return NotImplemented
-        return self.r == other.r and self.n == other.n and self.edges == other.edges
+        return self.r == other.r and self.n == other.n and np.array_equal(self.edge_array, other.edge_array)
 
     def __hash__(self) -> int:
-        return hash((self.r, self.n, self.edges))
+        return hash((self.r, self.n, self.edge_array.tobytes()))
 
     def __repr__(self) -> str:
         return f"Hypergraph(r={self.r}, n={self.n}, m={self.m})"
+
+
+def _canonical_edges(r: int, n: int, edges: Iterable[Iterable[int]]) -> np.ndarray:
+    """Validate the edges and return them as a new (m, r) int64 array with
+    sorted rows in lexicographic order; raise for the first faulty edge."""
+    rows = edges if isinstance(edges, (list, tuple, np.ndarray)) else list(edges)
+    if len(rows) == 0:
+        return np.empty((0, r), dtype=np.int64)
+    try:
+        raw = np.array(rows, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        raw = None
+    if raw is None or raw.shape != (len(rows), r):
+        # an edge of the wrong length, an id beyond int64, or edges given as iterators
+        rows = [tuple(e) for e in (rows.tolist() if isinstance(rows, np.ndarray) else rows)]
+        k = next((k for k, e in enumerate(rows) if len(e) != r or not all(-(2**63) <= v < 2**63 for v in e)), None)
+        head = _canonical_edges(r, n, rows[:k])  # raises for a faulty edge before row k
+        if k is None:
+            return head
+        if len(rows[k]) != r or len(set(rows[k])) != r:
+            raise EdgeArityError(f"edge {rows[k]} must have exactly {r} distinct vertices")
+        raise VertexOutOfRangeError(f"edge {tuple(sorted(rows[k]))} mentions a vertex outside [0, {n})")
+    rows = raw if (raw[:, 1:] > raw[:, :-1]).all() else np.sort(raw, axis=1)
+    # rows already in lexicographic order, as the builders emit them, skip the lexsort
+    order = None if _lex_less(rows[:-1], rows[1:]).all() else np.lexsort(rows.T[::-1])
+    srt = rows if order is None else rows[order]
+    distinct = rows is raw or (rows[:, 1:] > rows[:, :-1]).all()
+    if distinct and rows[:, 0].min() >= 0 and rows[:, -1].max() < n:
+        if order is None or _lex_less(srt[:-1], srt[1:]).all():
+            return srt
+    # some edge is faulty: find the first one in input order
+    repeated = np.any(rows[:, 1:] == rows[:, :-1], axis=1)
+    outside = (rows[:, 0] < 0) | (rows[:, -1] >= n)
+    duplicate = np.zeros(len(rows), dtype=bool)
+    if order is not None:
+        # a stable sort keeps equal rows in input order: all but the first repeat it
+        duplicate[order[1:][~_lex_less(srt[:-1], srt[1:])]] = True
+    i = int(np.argmax(repeated | outside | duplicate))
+    if repeated[i]:
+        raise EdgeArityError(f"edge {tuple(raw[i].tolist())} must have exactly {r} distinct vertices")
+    if outside[i]:
+        raise VertexOutOfRangeError(f"edge {tuple(rows[i].tolist())} mentions a vertex outside [0, {n})")
+    raise DuplicateEdgeError(f"duplicate edge {tuple(rows[i].tolist())}")
+
+
+def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row, whether row a is lexicographically smaller than row b."""
+    less = a[:, -1] < b[:, -1]
+    for j in range(a.shape[1] - 2, -1, -1):
+        less = (a[:, j] < b[:, j]) | ((a[:, j] == b[:, j]) & less)
+    return less
 
 
 @dataclass(frozen=True)
@@ -180,11 +224,8 @@ class TwoColoring:
         """True iff no edge of hg is monochromatic under this coloring."""
         if len(self.assignment) != hg.n:
             return False
-        for e in hg.edges:
-            labels = {self.assignment[v] for v in e}
-            if len(labels) < 2:
-                return False
-        return True
+        labels = np.array(self.assignment, dtype=np.int64)[hg.edge_array]
+        return bool((labels.min(axis=1) < labels.max(axis=1)).all())
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +255,21 @@ def build_complete(n: int, r: int) -> Hypergraph:
         raise ArgumentRangeError(f"uniformity must be >= 2, got {r}")
     if n < r:
         raise ArgumentRangeError(f"complete r-graph needs n >= r, got n={n}, r={r}")
-    return Hypergraph._from_canonical(r, n, combinations(range(n), r))
+    rows = np.arange(n - r + 1)[:, None]
+    for t in range(1, r):
+        rows = _extend(rows, 0, n - r + t + 1)
+    return Hypergraph(r, n, rows)
+
+
+def _extend(rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Extend each row, in lexicographic order, by every v > row[-1] with lo <= v < hi."""
+    start = np.maximum(rows[:, -1] + 1, lo)
+    counts = np.maximum(hi - start, 0)
+    firsts = np.cumsum(counts) - counts
+    out = np.empty((int(counts.sum()), rows.shape[1] + 1), dtype=np.int64)
+    out[:, :-1] = np.repeat(rows, counts, axis=0)
+    out[:, -1] = np.repeat(start - firsts, counts) + np.arange(len(out))
+    return out
 
 
 def build_two_part_complete(a: int, b: int) -> tuple[Hypergraph, TwoColoring]:
@@ -226,19 +281,11 @@ def build_two_part_complete(a: int, b: int) -> tuple[Hypergraph, TwoColoring]:
     if a < 1 or b < 1 or a + b < 3:
         raise ArgumentRangeError(f"parts must satisfy a, b >= 1 and a + b >= 3, got ({a}, {b})")
     n = a + b
-    # emitted in lexicographic order: for each smallest vertex i (always in
-    # part one), first the edges with one more part-one vertex, then two
-    # part-two vertices
-    edges: list[Edge] = []
-    part_two = range(a, n)
-    for i in range(a):
-        for j in range(i + 1, a):
-            for k in part_two:
-                edges.append((i, j, k))
-        for j, k in combinations(part_two, 2):
-            edges.append((i, j, k))
+    # the triples i < j < k with i in part one and k in part two, emitted
+    # in lexicographic order
+    edges = _extend(_extend(np.arange(a)[:, None], 0, n - 1), a, n)
     coloring = TwoColoring(tuple(0 if v < a else 1 for v in range(n)), (a, b))
-    return Hypergraph._from_canonical(3, n, edges), coloring
+    return Hypergraph(3, n, edges), coloring
 
 
 def build_bn(n: int) -> tuple[Hypergraph, TwoColoring]:
@@ -256,37 +303,20 @@ def build_expansion(base_edges: Iterable[Iterable[int]], n_base: int, r: int) ->
     """
     if r < 2:
         raise ArgumentRangeError(f"uniformity must be >= 2, got {r}")
-    pairs: list[Edge] = []
-    seen: set[Edge] = set()
-    for raw in base_edges:
-        e = tuple(sorted(raw))
-        if len(e) != 2 or len(set(e)) != 2:
-            raise EdgeArityError(f"base edge {tuple(raw)} must be a pair of distinct vertices")
-        if e[0] < 0 or e[-1] >= n_base:
-            raise VertexOutOfRangeError(f"base edge {e} mentions a vertex outside [0, {n_base})")
-        if e in seen:
-            raise DuplicateEdgeError(f"duplicate base edge {e}")
-        seen.add(e)
-        pairs.append(e)
-    n = n_base + (r - 2) * len(pairs)
-    edges = []
-    fresh = n_base
-    for e in pairs:
-        edges.append(e + tuple(range(fresh, fresh + r - 2)))
-        fresh += r - 2
-    return Hypergraph(r, n, edges)
+    pairs = [tuple(e) for e in base_edges]
+    Hypergraph(2, n_base, pairs)  # validates the pairs
+    m = len(pairs)
+    n = n_base + (r - 2) * m
+    fresh = np.arange(n_base, n, dtype=np.int64).reshape(m, r - 2)
+    return Hypergraph(r, n, np.hstack([np.array(pairs, dtype=np.int64).reshape(m, 2), fresh]))
 
 
 def delete_vertex(hg: Hypergraph, w: int) -> Hypergraph:
     """Remove vertex w and its incident edges, re-indexing ids above w down by one."""
     if not 0 <= w < hg.n:
         raise VertexOutOfRangeError(f"vertex {w} outside [0, {hg.n})")
-    edges = [
-        tuple(v - 1 if v > w else v for v in e)
-        for e in hg.edges
-        if w not in e
-    ]
-    return Hypergraph(hg.r, hg.n - 1, edges)
+    edges = hg.edge_array[~np.any(hg.edge_array == w, axis=1)]
+    return Hypergraph(hg.r, hg.n - 1, edges - (edges > w))
 
 
 def random_connected(n: int, r: int, m: int, rng: int | random.Random = 0) -> Hypergraph:
@@ -357,6 +387,5 @@ def parse(text: str) -> Hypergraph:
 
 def serialize(hg: Hypergraph) -> str:
     """Render the text format; edges appear in lexicographic order."""
-    lines = [f"{hg.r} {hg.n} {hg.m}"]
-    lines.extend(" ".join(str(v) for v in e) for e in hg.edges)
-    return "\n".join(lines) + "\n"
+    line = " ".join(["%d"] * hg.r) + "\n"
+    return f"{hg.r} {hg.n} {hg.m}\n" + line * hg.m % tuple(hg.edge_array.ravel().tolist())

@@ -62,10 +62,6 @@ def _check_weights(hg: Hypergraph, x) -> np.ndarray:
     return x
 
 
-def _edge_array(hg: Hypergraph) -> np.ndarray:
-    return np.array(hg.edges, dtype=np.int64).reshape(hg.m, hg.r)
-
-
 def _adjacency(edges: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
     """(A x)_i over an explicit (m, r) edge array."""
     out = np.zeros(n)
@@ -87,14 +83,14 @@ def _adjacency(edges: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
 def apply_adjacency(hg: Hypergraph, x) -> np.ndarray:
     """Adjacency tensor action on x."""
     x = _check_weights(hg, x)
-    return _adjacency(_edge_array(hg), hg.n, x)
+    return _adjacency(hg.edge_array, hg.n, x)
 
 
 def apply_signless_laplacian(hg: Hypergraph, x) -> np.ndarray:
     """Signless Laplacian action: degree diagonal plus adjacency."""
     x = _check_weights(hg, x)
     deg = np.array(hg.degrees(), dtype=np.float64)
-    return deg * x ** (hg.r - 1) + _adjacency(_edge_array(hg), hg.n, x)
+    return deg * x ** (hg.r - 1) + _adjacency(hg.edge_array, hg.n, x)
 
 
 def rayleigh_q(hg: Hypergraph, x) -> float:
@@ -112,7 +108,7 @@ def rayleigh_q(hg: Hypergraph, x) -> float:
         raise NotNormalizedError(f"r-norm^r of weights is {total}, expected 1")
     if hg.m == 0:
         return 0.0
-    vals = x[_edge_array(hg)]
+    vals = x[hg.edge_array]
     return float(np.sum(vals**hg.r) + hg.r * np.sum(np.prod(vals, axis=1)))
 
 
@@ -190,16 +186,25 @@ def spectral_radius(
         vec = np.full(hg.n, hg.n ** (-1.0 / hg.r)) if hg.n else np.zeros(0)
         return SpectralResult(0.0, 0.0, 0.0, vec, 0, 0.0, True)
 
+    # group the edges by component, keeping their order; rank renumbers each component from 0
+    comps = hg.components()
+    sizes = np.array([len(comp) for comp in comps])
+    members = np.concatenate(comps)
+    label = np.empty(hg.n, dtype=np.int64)
+    label[members] = np.repeat(np.arange(len(comps)), sizes)
+    rank = np.empty(hg.n, dtype=np.int64)
+    rank[members] = np.arange(hg.n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    edge_label = label[hg.edge_array[:, 0]]
+    grouped = rank[hg.edge_array[np.argsort(edge_label, kind="stable")]]
+    ends = np.cumsum(np.bincount(edge_label, minlength=len(comps))).tolist()
+
     best = None  # (rho, component index, per-component result, vertex list)
     total_iterations = 0
     all_converged = True
-    for ci, comp in enumerate(hg.components()):
-        local = {v: i for i, v in enumerate(comp)}
-        sub_edges = [tuple(local[v] for v in e) for e in hg.edges if e[0] in local]
-        if not sub_edges:
+    for ci, (comp, start, stop) in enumerate(zip(comps, [0] + ends, ends)):
+        if start == stop:
             continue
-        edges = np.array(sub_edges, dtype=np.int64)
-        res = _component_iterate(edges, len(comp), hg.r, operator, tol, max_iter, shift)
+        res = _component_iterate(grouped[start:stop], len(comp), hg.r, operator, tol, max_iter, shift)
         total_iterations += res[4]
         all_converged = all_converged and res[6]
         if best is None or res[0] > best[0]:

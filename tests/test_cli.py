@@ -140,6 +140,13 @@ class TestSpectral:
         path.write_text("3 3 1\n0 1 2\n")
         assert invoke(runner, "spectral", str(path), "--tol", "0").exit_code == 2
 
+    def test_bad_max_iter_exit_2(self, runner, tmp_path):
+        path = tmp_path / "edge.txt"
+        path.write_text("3 3 1\n0 1 2\n")
+        assert invoke(runner, "spectral", str(path), "--max-iter", "0").exit_code == 2
+        assert invoke(runner, "verify", "bounds", "4", "--max-iter", "0").exit_code == 2
+        assert invoke(runner, "verify", "bounds", "4", "--tol", "-1").exit_code == 2
+
 
 class TestCheck:
     def test_k7_contains_fano(self, runner, tmp_path):

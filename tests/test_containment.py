@@ -227,6 +227,12 @@ class TestTwoColoring:
         square = Hypergraph(2, 4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         assert two_coloring(square) is not None
 
+    def test_long_loose_path_needs_no_recursion(self):
+        # 1500 decision vertices deep: a recursive search exceeds Python's limit
+        path = Hypergraph(3, 3001, [(2 * i, 2 * i + 1, 2 * i + 2) for i in range(1500)])
+        coloring = two_coloring(path)
+        assert coloring is not None and coloring.is_proper_for(path)
+
     @given(hypergraphs(max_n=8, rs=(2, 3), max_m=12))
     @settings(max_examples=60, deadline=None)
     def test_agrees_with_brute_force(self, hg):

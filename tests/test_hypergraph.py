@@ -1,6 +1,7 @@
 import math
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from hyperq.errors import (
     EdgeArityError,
     EmptyVertexSetError,
     FormatError,
+    HyperqError,
     VertexOutOfRangeError,
 )
 from hyperq.hypergraph import (
@@ -364,3 +366,94 @@ def test_degree_sum_identity(hg):
     assert sum(hg.degrees()) == hg.r * hg.m
     for v in range(hg.n):
         assert hg.degree(v) == len(hg.incidence[v])
+
+
+def reference_edges(r, n, edges):
+    """Tuple-based reference constructor: the canonical edge tuple, or the
+    error for the first faulty edge in input order."""
+    canonical, seen = [], set()
+    for raw in edges:
+        e = tuple(sorted(raw))
+        if len(e) != r or len(set(e)) != r:
+            raise EdgeArityError(f"edge {tuple(raw)} must have exactly {r} distinct vertices")
+        if e[0] < 0 or e[-1] >= n:
+            raise VertexOutOfRangeError(f"edge {e} mentions a vertex outside [0, {n})")
+        if e in seen:
+            raise DuplicateEdgeError(f"duplicate edge {e}")
+        seen.add(e)
+        canonical.append(e)
+    return tuple(sorted(canonical))
+
+
+@st.composite
+def raw_edge_lists(draw):
+    """Edge lists on at most 8 vertices: valid edges with permuted rows, plus
+    a few faulty ones (repeated vertices, ids -1 or n, wrong lengths, permuted
+    duplicates) at random positions."""
+    r = draw(st.sampled_from((2, 3, 4)))
+    n = draw(st.integers(min_value=0, max_value=8))
+    rows = []
+    if n >= r:
+        valid = st.sampled_from(list(combinations(range(n), r))).flatmap(st.permutations)
+        rows = draw(st.lists(valid, max_size=8))
+    vertex = st.integers(min_value=-1, max_value=n)
+    bad = st.one_of(st.lists(vertex, min_size=r, max_size=r), st.lists(vertex, max_size=r + 1))
+    if rows:
+        bad = st.one_of(bad, st.sampled_from(rows).flatmap(st.permutations))
+    for e in draw(st.lists(bad, max_size=2)):
+        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), e)
+    return r, n, rows
+
+
+class TestEdgeArray:
+    @given(raw_edge_lists(), st.booleans())
+    @settings(max_examples=300)
+    def test_matches_reference_constructor(self, case, as_iterators):
+        r, n, rows = case
+        edges = (iter(e) for e in rows) if as_iterators else rows
+        try:
+            want = reference_edges(r, n, rows)
+        except HyperqError as exc:
+            with pytest.raises(type(exc)) as info:
+                Hypergraph(r, n, edges)
+            if not as_iterators:
+                assert str(info.value) == str(exc)
+            return
+        hg = Hypergraph(r, n, edges)
+        assert hg.edges == want
+        arr = hg.edge_array
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[..., 0] = 0
+        assert np.array_equal(arr, np.array(hg.edges, dtype=np.int64).reshape(hg.m, r))
+        again = Hypergraph(r, n, [e[::-1] for e in reversed(rows)])
+        assert again == hg and hash(again) == hash(hg)
+
+    def test_iterator_input(self):
+        assert Hypergraph(3, 5, combinations(range(5), 3)) == build_complete(5, 3)
+
+    def test_ragged_input_is_arity_error(self):
+        with pytest.raises(EdgeArityError):
+            Hypergraph(3, 5, [(0, 1, 2), (1, 2)])
+        # the first faulty edge in input order decides the error
+        with pytest.raises(VertexOutOfRangeError):
+            Hypergraph(3, 5, [(0, 1, 7), (1, 2)])
+
+    def test_huge_vertex_id_is_out_of_range(self):
+        with pytest.raises(VertexOutOfRangeError):
+            Hypergraph(3, 5, [(0, 1, 2**70)])
+
+    def test_caller_array_not_aliased(self):
+        raw = np.array([[0, 1, 2], [1, 2, 3]])
+        hg = Hypergraph(3, 4, raw)
+        raw[0, 0] = 3
+        assert hg.edges == ((0, 1, 2), (1, 2, 3))
+
+    @pytest.mark.parametrize("n,r", [(3, 3), (6, 2), (7, 3), (8, 5), (6, 6)])
+    def test_complete_builder_matches_combinations(self, n, r):
+        assert build_complete(n, r).edges == tuple(combinations(range(n), r))
+
+    @pytest.mark.parametrize("a,b", [(1, 2), (2, 1), (3, 4), (5, 5), (6, 2)])
+    def test_two_part_builder_matches_reference(self, a, b):
+        want = tuple(e for e in combinations(range(a + b), 3) if e[0] < a <= e[2])
+        assert build_two_part_complete(a, b)[0].edges == want

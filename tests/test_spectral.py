@@ -350,3 +350,38 @@ def test_rayleigh_numerator_is_degree_r_homogeneous(hg, c):
     rng = np.random.default_rng(13)
     y = rng.uniform(0.1, 1.0, size=hg.n)
     assert edge_sum(hg, c * y) == pytest.approx(c**hg.r * edge_sum(hg, y), rel=1e-9)
+
+
+@st.composite
+def disjoint_unions(draw):
+    """2-4 hypergraphs of one uniformity placed at consecutive vertex offsets."""
+    r = draw(st.sampled_from((2, 3, 4)))
+    parts = draw(st.lists(hypergraphs(rs=(r,)), min_size=2, max_size=4))
+    edges, offset = [], 0
+    for part in parts:
+        edges.extend(tuple(v + offset for v in e) for e in part.edges)
+        offset += part.n
+    return Hypergraph(r, offset, edges)
+
+
+@given(disjoint_unions())
+@settings(max_examples=40, deadline=None)
+def test_disconnected_result_is_best_component(hg):
+    res = spectral_radius(hg)
+    best, best_comp, iterations = None, None, 0
+    for comp in hg.components():
+        local = {v: i for i, v in enumerate(comp)}
+        sub = [tuple(local[v] for v in e) for e in hg.edges if e[0] in local]
+        if not sub:
+            continue
+        own = spectral_radius(Hypergraph(hg.r, len(comp), sub))
+        iterations += own.iterations
+        if best is None or own.rho > best.rho:
+            best, best_comp = own, comp
+    assert res.iterations == iterations
+    if best is None:
+        assert res.rho == 0.0
+        return
+    assert (res.rho, res.lower, res.upper, res.history) == (best.rho, best.lower, best.upper, best.history)
+    assert np.array_equal(res.eigenvector[best_comp], best.eigenvector)
+    assert np.count_nonzero(res.eigenvector) == np.count_nonzero(best.eigenvector)
