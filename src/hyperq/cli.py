@@ -15,7 +15,7 @@ from pathlib import Path
 import click
 
 from .containment import contains_subgraph, two_coloring
-from .errors import ArgumentRangeError, HyperqError
+from .errors import ArgumentRangeError, HyperqError, NoConvergenceError
 from .hypergraph import (
     Hypergraph,
     build_bn,
@@ -330,6 +330,8 @@ def cmd_verify(ctx, what, n_range, sigma, samples, seed, tol, max_iter, fmt, out
                 )
     except ArgumentRangeError as exc:
         raise click.UsageError(str(exc)) from None
+    except NoConvergenceError as exc:
+        raise _Fail(str(exc), 4) from None
     _write_text(render(records, fmt), out)
     if not all(rec.passed for rec in records):
         ctx.exit(5)

@@ -10,6 +10,7 @@ immutable after construction and safe to share between threads.
 import math
 import random
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -21,10 +22,15 @@ from .errors import (
     EdgeArityError,
     EmptyVertexSetError,
     FormatError,
+    NoConvergenceError,
     VertexOutOfRangeError,
 )
 
 Edge = tuple[int, ...]
+
+# draws random_connected makes before giving up; the seeded hosts in the
+# tests and the benchmark need at most 4
+_CONNECT_ATTEMPTS = 1000
 
 
 class Hypergraph:
@@ -116,22 +122,29 @@ class Hypergraph:
 
         Isolated vertices form singleton components.
         """
-        parent = list(range(self.n))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        first, *others = self.edge_array.T.tolist()
-        for col in others:
-            for u, v in zip(first, col):
-                parent[find(v)] = find(u)
-        groups: dict[int, list[int]] = {}
-        for v in range(self.n):
-            groups.setdefault(find(v), []).append(v)
-        return sorted(groups.values(), key=lambda g: g[0])
+        # min-label propagation: each vertex points to a smaller or equal one.
+        # A round hooks the roots of every edge onto the edge's smallest root,
+        # then jumps pointers until each tree is a star whose root is its
+        # smallest vertex.  Every root with a smaller neighbouring root hooks,
+        # so the trees along a path at least halve in number each round.
+        parent = np.arange(self.n)
+        while self.m:
+            roots = [parent[col] for col in self.edge_array.T]
+            least = reduce(np.minimum, roots)
+            before = parent.copy()
+            for col in roots:
+                np.minimum.at(parent, col, least)
+            if (parent == before).all():
+                break
+            jumped = parent[parent]
+            while (jumped != parent).any():
+                parent = jumped
+                jumped = parent[parent]
+        # group by root: a stable argsort keeps each group's vertices increasing
+        flat = np.argsort(parent, kind="stable").tolist()
+        sizes = np.bincount(parent)
+        ends = np.cumsum(sizes[sizes > 0]).tolist()
+        return list(map(flat.__getitem__, map(slice, [0] + ends[:-1], ends)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hypergraph):
@@ -322,9 +335,10 @@ def delete_vertex(hg: Hypergraph, w: int) -> Hypergraph:
 def random_connected(n: int, r: int, m: int, rng: int | random.Random = 0) -> Hypergraph:
     """Seeded random connected r-graph on n vertices with m distinct edges.
 
-    Draws edge sets uniformly until a connected one appears, so small m
-    relative to n may reject many times; m must make connectivity possible
-    (m >= (n - 1) / (r - 1)).
+    Draws edge sets uniformly until a connected one appears; m must make
+    connectivity possible (m >= (n - 1) / (r - 1)).  Raises
+    NoConvergenceError when none of a fixed budget of draws is connected,
+    as happens for m near that threshold.
     """
     if n < r:
         raise ArgumentRangeError(f"need n >= r, got n={n}, r={r}")
@@ -336,10 +350,11 @@ def random_connected(n: int, r: int, m: int, rng: int | random.Random = 0) -> Hy
     if isinstance(rng, int):
         rng = random.Random(rng)
     pool = list(combinations(range(n), r))
-    while True:
+    for _ in range(_CONNECT_ATTEMPTS):
         hg = Hypergraph(r, n, rng.sample(pool, m))
         if len(hg.components()) == 1:
             return hg
+    raise NoConvergenceError(f"no connected draw of {m} edges on {n} vertices in {_CONNECT_ATTEMPTS} attempts")
 
 
 # ---------------------------------------------------------------------------
@@ -373,15 +388,24 @@ def parse(text: str) -> Hypergraph:
     body = rows[1:]
     if len(body) != m:
         raise FormatError(f"expected {m} edge lines, found {len(body)}")
-    edges = []
-    for row in body:
-        toks = row.split()
-        if len(toks) != r:
-            raise FormatError(f"edge line {row!r} must have {r} vertex ids")
+    edges = None
+    if body:
         try:
-            edges.append(tuple(int(tok) for tok in toks))
+            edges = np.loadtxt(body, dtype=np.int64, ndmin=2, comments=None)
         except ValueError:
-            raise FormatError(f"non-integer vertex id in line {row!r}") from None
+            pass
+    if edges is None or edges.shape != (m, r):
+        # the line loop gives the first faulty line's error, and it reads what
+        # loadtxt does not: `1_0`, non-ASCII digits and ids beyond int64
+        edges = []
+        for row in body:
+            toks = row.split()
+            if len(toks) != r:
+                raise FormatError(f"edge line {row!r} must have {r} vertex ids")
+            try:
+                edges.append(tuple(int(tok) for tok in toks))
+            except ValueError:
+                raise FormatError(f"non-integer vertex id in line {row!r}") from None
     return Hypergraph(r, n, edges)
 
 

@@ -17,7 +17,9 @@ the largest radius wins.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -68,15 +70,14 @@ def _adjacency(edges: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
     m, r = edges.shape
     if m == 0:
         return out
-    vals = x[edges]
-    # leave-one-out products per edge position via prefix * suffix
-    prefix = np.ones((m, r))
-    suffix = np.ones((m, r))
-    prefix[:, 1:] = np.cumprod(vals[:, :-1], axis=1)
-    suffix[:, -2::-1] = np.cumprod(vals[:, :0:-1], axis=1)
-    partial = prefix * suffix
+    vals = [x[edges[:, j]] for j in range(r)]
+    # leave-one-out product at position j: the product of the values before
+    # j, taken left to right, times the product of those after j, taken
+    # right to left; 1.0 stands for an empty product, as cumprod ones did
+    prefix = [1.0, *accumulate(vals[:-1], operator.mul)]
+    suffix = [*accumulate(vals[:0:-1], operator.mul)][::-1] + [1.0]
     for j in range(r):
-        out += np.bincount(edges[:, j], weights=partial[:, j], minlength=n)
+        out += np.bincount(edges[:, j], weights=prefix[j] * suffix[j], minlength=n)
     return out
 
 
@@ -186,17 +187,21 @@ def spectral_radius(
         vec = np.full(hg.n, hg.n ** (-1.0 / hg.r)) if hg.n else np.zeros(0)
         return SpectralResult(0.0, 0.0, 0.0, vec, 0, 0.0, True)
 
-    # group the edges by component, keeping their order; rank renumbers each component from 0
     comps = hg.components()
-    sizes = np.array([len(comp) for comp in comps])
-    members = np.concatenate(comps)
-    label = np.empty(hg.n, dtype=np.int64)
-    label[members] = np.repeat(np.arange(len(comps)), sizes)
-    rank = np.empty(hg.n, dtype=np.int64)
-    rank[members] = np.arange(hg.n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    edge_label = label[hg.edge_array[:, 0]]
-    grouped = rank[hg.edge_array[np.argsort(edge_label, kind="stable")]]
-    ends = np.cumsum(np.bincount(edge_label, minlength=len(comps))).tolist()
+    if len(comps) == 1:
+        # one component holds every vertex: no renumbering needed
+        grouped, ends = hg.edge_array, [hg.m]
+    else:
+        # group the edges by component, keeping their order; rank renumbers each component from 0
+        sizes = np.array([len(comp) for comp in comps])
+        members = np.concatenate(comps)
+        label = np.empty(hg.n, dtype=np.int64)
+        label[members] = np.repeat(np.arange(len(comps)), sizes)
+        rank = np.empty(hg.n, dtype=np.int64)
+        rank[members] = np.arange(hg.n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        edge_label = label[hg.edge_array[:, 0]]
+        grouped = rank[hg.edge_array[np.argsort(edge_label, kind="stable")]]
+        ends = np.cumsum(np.bincount(edge_label, minlength=len(comps))).tolist()
 
     best = None  # (rho, component index, per-component result, vertex list)
     total_iterations = 0

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ArgumentRangeError, DisconnectedError, NoConvergenceError, TooSmallError
 from .hypergraph import Hypergraph, build_bn, build_two_part_complete, delete_vertex
-from .spectral import spectral_radius
+from .spectral import SpectralResult, spectral_radius
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -254,6 +254,16 @@ def check_condition2(
     return out
 
 
+def _converged_radius(hg: Hypergraph) -> SpectralResult:
+    """spectral_radius(hg); raises NoConvergenceError rather than return an unconverged value."""
+    res = spectral_radius(hg)
+    if not res.converged:
+        raise NoConvergenceError(
+            f"spectral iteration on n={hg.n}, m={hg.m} did not converge in {res.iterations} iterations"
+        )
+    return res
+
+
 def check_deletion_lemma(hg: Hypergraph, tol: float = 1e-8) -> DeletionCheck:
     """Vertex-deletion inequality at the eigenvector's smallest entry.
 
@@ -262,7 +272,8 @@ def check_deletion_lemma(hg: Hypergraph, tol: float = 1e-8) -> DeletionCheck:
 
         q(H - w) >= (1 - r t)/(1 - t) * q - n^(r-2)/(r-2)! * (1 - (n-1) t)/(1 - t).
 
-    Returns both sides and whether lhs >= rhs - tol.
+    Returns both sides and whether lhs >= rhs - tol.  Raises
+    NoConvergenceError if either spectral iteration does not converge.
     """
     if hg.r < 3:
         raise ArgumentRangeError(f"deletion check needs r >= 3, got r={hg.r}")
@@ -270,7 +281,7 @@ def check_deletion_lemma(hg: Hypergraph, tol: float = 1e-8) -> DeletionCheck:
         raise TooSmallError(f"deletion check needs at least 2 edges, got {hg.m}")
     if len(hg.components()) != 1:
         raise DisconnectedError("deletion check needs a connected hypergraph")
-    res = spectral_radius(hg)
+    res = _converged_radius(hg)
     x = res.eigenvector
     w = int(min(range(hg.n), key=lambda i: x[i]))
     t = float(x[w]) ** hg.r
@@ -278,7 +289,7 @@ def check_deletion_lemma(hg: Hypergraph, tol: float = 1e-8) -> DeletionCheck:
     rhs = (1.0 - r * t) / (1.0 - t) * res.rho - (
         n ** (r - 2) / math.factorial(r - 2) * (1.0 - (n - 1) * t) / (1.0 - t)
     )
-    lhs = spectral_radius(delete_vertex(hg, w)).rho
+    lhs = _converged_radius(delete_vertex(hg, w)).rho
     return DeletionCheck(lhs, rhs, lhs >= rhs - tol, w)
 
 
@@ -302,7 +313,8 @@ def verify_extremality(n: int, samples: int = 20, rng_seed: int = 0) -> Extremal
     Competitors: every unbalanced complete split, `samples` random edge
     deletions from B_n, and `samples` random sub-hypergraphs of complete
     two-part 3-graphs.  Each must stay below q(B_n) by more than 1e-8.
-    Desk-scale evidence for the extremal statement, not a proof.
+    Desk-scale evidence for the extremal statement, not a proof.  Raises
+    NoConvergenceError if any spectral iteration does not converge.
     """
     if n < 7:
         raise ArgumentRangeError(f"extremality check needs n >= 7, got {n}")
@@ -310,7 +322,7 @@ def verify_extremality(n: int, samples: int = 20, rng_seed: int = 0) -> Extremal
         raise ArgumentRangeError(f"samples must be >= 1, got {samples}")
     rng = random.Random(rng_seed)
     base, _ = build_bn(n)
-    q_ref = spectral_radius(base).rho
+    q_ref = _converged_radius(base).rho
 
     competitors = []
 
@@ -324,10 +336,10 @@ def verify_extremality(n: int, samples: int = 20, rng_seed: int = 0) -> Extremal
     for _ in range(samples):
         k = rng.randint(1, 3)
         edges = np.delete(base.edge_array, rng.sample(range(base.m), k), axis=0)
-        add("edge-deletion", f"dropped={k}", spectral_radius(Hypergraph(3, n, edges)).rho)
+        add("edge-deletion", f"dropped={k}", _converged_radius(Hypergraph(3, n, edges)).rho)
     for _ in range(samples):
         hg = _random_colorable(rng, n)
-        add("random-colorable", f"m={hg.m}", spectral_radius(hg).rho)
+        add("random-colorable", f"m={hg.m}", _converged_radius(hg).rho)
 
     max_q = max(c.q for c in competitors)
     return ExtremalityReport(

@@ -1,12 +1,17 @@
+import functools
 import json
 
 import pytest
 from click.testing import CliRunner
 
+import hyperq.turan
 from hyperq.cli import main
 from hyperq.containment import Embedding
 from hyperq.hypergraph import build_fano, parse
 from hyperq.reporting import CSV_HEADER
+from hyperq.spectral import spectral_radius
+
+from spectral_golden import SPECTRAL_B61
 
 
 @pytest.fixture()
@@ -148,6 +153,22 @@ class TestSpectral:
         assert invoke(runner, "verify", "bounds", "4", "--tol", "-1").exit_code == 2
 
 
+@pytest.fixture(scope="module")
+def b61_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden") / "b61.txt"
+    assert invoke(CliRunner(), "gen", "bn", "61", "--out", str(path)).exit_code == 0
+    return path
+
+
+@pytest.mark.parametrize("key", sorted(SPECTRAL_B61))
+def test_spectral_report_bytes(runner, b61_file, key):
+    op, fmt, with_vector = key
+    args = ["spectral", str(b61_file), "-o", op, "--format", fmt] + ["--eigenvector"] * with_vector
+    res = invoke(runner, *args)
+    assert res.exit_code == 0
+    assert res.stdout_bytes == SPECTRAL_B61[key].encode()
+
+
 class TestCheck:
     def test_k7_contains_fano(self, runner, tmp_path):
         path = tmp_path / "k7.txt"
@@ -218,6 +239,15 @@ class TestVerify:
         [rec] = json.loads(res.output)
         assert rec["pass"] is True
         assert rec["value"] < rec["bound"]
+
+    @pytest.mark.parametrize("what", ["deletion", "extremal"])
+    def test_unconverged_exit_4(self, runner, monkeypatch, what):
+        monkeypatch.setattr(hyperq.turan, "spectral_radius", functools.partial(spectral_radius, max_iter=1))
+        res = invoke(runner, "verify", what, "9", "--samples", "2")
+        assert res.exit_code == 4
+        assert res.stdout == ""
+        [line] = res.stderr.splitlines()
+        assert "did not converge" in line
 
     def test_deterministic_bytes(self, runner):
         a = invoke(runner, "verify", "extremal", "8", "--samples", "3", "--seed", "5", "--format", "json")

@@ -1,4 +1,5 @@
 import math
+import time
 from itertools import combinations
 
 import numpy as np
@@ -13,6 +14,7 @@ from hyperq.errors import (
     EmptyVertexSetError,
     FormatError,
     HyperqError,
+    NoConvergenceError,
     VertexOutOfRangeError,
 )
 from hyperq.hypergraph import (
@@ -237,6 +239,34 @@ class TestComponents:
         hg = Hypergraph(3, 3, [])
         assert hg.components() == [[0], [1], [2]]
 
+    def test_no_vertices(self):
+        assert Hypergraph(2, 0, []).components() == []
+
+    @given(hypergraphs(max_n=14, rs=(2, 3, 4, 5), max_m=10))
+    @settings(max_examples=200)
+    def test_matches_bfs(self, hg):
+        assert hg.components() == bfs_components(hg)
+
+    def test_long_loose_path(self):
+        path = Hypergraph(3, 3001, [(2 * i, 2 * i + 1, 2 * i + 2) for i in range(1500)])
+        assert path.components() == [list(range(3001))]
+
+    def test_disjoint_triples(self):
+        hg = Hypergraph(3, 24000, np.arange(24000).reshape(8000, 3))
+        assert hg.components() == [[v, v + 1, v + 2] for v in range(0, 24000, 3)]
+        shuffled = Hypergraph(3, 24000, np.random.default_rng(2).permutation(24000)[hg.edge_array])
+        assert shuffled.components() == bfs_components(shuffled)
+
+    def test_shuffled_path_takes_few_rounds(self):
+        # with ids shuffled, labels that crept one edge per round would need
+        # about 2^17 rounds here; halving the trees per round needs about 17
+        k = 2**17
+        ids = np.random.default_rng(0).permutation(2 * k + 1)
+        path = Hypergraph(3, 2 * k + 1, ids[np.arange(k)[:, None] * 2 + np.arange(3)])
+        t0 = time.perf_counter()
+        assert path.components() == [list(range(2 * k + 1))]
+        assert time.perf_counter() - t0 < 5.0
+
     @given(hypergraphs())
     @settings(max_examples=60)
     def test_partition_property(self, hg):
@@ -359,6 +389,19 @@ class TestRandomConnected:
         with pytest.raises(ArgumentRangeError):
             random_connected(9, 3, 2, rng=0)
 
+    def test_draws_pinned(self):
+        # the fourth draw is the first connected one
+        assert random_connected(7, 2, 8, rng=2015).edges == (
+            (0, 1), (0, 4), (0, 5), (1, 2), (1, 3), (1, 5), (1, 6), (5, 6)
+        )
+
+    def test_attempt_budget(self):
+        # 15 triples connect 30 vertices only as a spanning tree: the draws run out
+        t0 = time.perf_counter()
+        with pytest.raises(NoConvergenceError):
+            random_connected(30, 3, 15, rng=0)
+        assert time.perf_counter() - t0 < 1.0
+
 
 @given(hypergraphs())
 @settings(max_examples=60)
@@ -457,3 +500,129 @@ class TestEdgeArray:
     def test_two_part_builder_matches_reference(self, a, b):
         want = tuple(e for e in combinations(range(a + b), 3) if e[0] < a <= e[2])
         assert build_two_part_complete(a, b)[0].edges == want
+
+
+def bfs_components(hg):
+    """Reference components by breadth-first search over vertex neighbourhoods."""
+    neighbours = [set() for _ in range(hg.n)]
+    for e in hg.edges:
+        for v in e:
+            neighbours[v].update(e)
+    seen, out = set(), []
+    for s in range(hg.n):
+        if s in seen:
+            continue
+        seen.add(s)
+        comp, frontier = [], [s]
+        while frontier:
+            v = frontier.pop()
+            comp.append(v)
+            fresh = neighbours[v] - seen
+            seen |= fresh
+            frontier.extend(fresh)
+        out.append(sorted(comp))
+    return out
+
+
+def reference_parse(text):
+    """The line-by-line parser that parse replaced, kept as its reference."""
+    rows = []
+    for line in text.splitlines():
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            rows.append(stripped)
+    if not rows:
+        raise FormatError("empty input: missing header line")
+    header = rows[0].split()
+    if len(header) != 3:
+        raise FormatError(f"header must have 3 fields 'r n m', got {rows[0]!r}")
+    try:
+        r, n, m = (int(tok) for tok in header)
+    except ValueError:
+        raise FormatError(f"non-integer field in header {rows[0]!r}") from None
+    if m < 0:
+        raise FormatError(f"negative edge count {m}")
+    body = rows[1:]
+    if len(body) != m:
+        raise FormatError(f"expected {m} edge lines, found {len(body)}")
+    edges = []
+    for row in body:
+        toks = row.split()
+        if len(toks) != r:
+            raise FormatError(f"edge line {row!r} must have {r} vertex ids")
+        try:
+            edges.append(tuple(int(tok) for tok in toks))
+        except ValueError:
+            raise FormatError(f"non-integer vertex id in line {row!r}") from None
+    return Hypergraph(r, n, edges)
+
+
+# str.split whitespace beyond ASCII, and str.splitlines breaks beyond \n
+UNICODE_SPACES = ["\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"]
+LINE_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+ODD_TOKENS = ["1_0", "\u0663", "\uff11", "+1", "-0", "+0", "-1", "007", "1.0", "x", "#", "2" * 20, str(2**63), str(-(2**63))]
+
+
+@st.composite
+def hypergraph_texts(draw):
+    """Texts in the hypergraph format, mostly well formed, with comments,
+    blank lines, unusual whitespace, line breaks and tokens mixed in."""
+    r = draw(st.integers(min_value=2, max_value=4))
+    n = draw(st.integers(min_value=0, max_value=8))
+    m = draw(st.integers(min_value=0, max_value=6))
+    vertex = st.one_of(st.integers(min_value=-1, max_value=n).map(str), st.sampled_from(ODD_TOKENS))
+    space = st.sampled_from([" ", "  ", "\t", *UNICODE_SPACES])
+    declared = m + draw(st.sampled_from([0, 0, 0, 1, -1]))
+    lines = [draw(space).join(map(str, (r, n, declared)))]
+    for _ in range(m):
+        width = r + draw(st.sampled_from([0, 0, 0, 0, 1, -1]))
+        toks = draw(st.lists(vertex, min_size=width, max_size=width))
+        lines.append(draw(space).join(toks))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        filler = draw(st.sampled_from(["", "   ", "# comment", "  # 0 1 2", "\t"]))
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), filler)
+    text = ""
+    for line in lines:
+        text += draw(st.sampled_from(["", " ", *UNICODE_SPACES])) + line + draw(st.sampled_from(LINE_BREAKS))
+    return text
+
+
+class TestParseMatchesReference:
+    @staticmethod
+    def check(text):
+        try:
+            want = reference_parse(text)
+        except HyperqError as exc:
+            with pytest.raises(type(exc)) as info:
+                parse(text)
+            assert str(info.value) == str(exc)
+            return
+        got = parse(text)
+        assert (got.r, got.n) == (want.r, want.n)
+        assert np.array_equal(got.edge_array, want.edge_array)
+
+    @given(hypergraph_texts())
+    @settings(max_examples=400)
+    def test_drawn_texts(self, text):
+        self.check(text)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "0 1 1_0",  # underscores: int() reads them, loadtxt does not
+            "0 1 \u0663",  # a non-ASCII digit
+            f"0 1 {2**63}",  # beyond int64
+            f"0 1 {2**70}",
+            "0\x1f1 2",  # whitespace to str.split, not to a C parser
+            "0\xa01\u30002",
+            "+0 -1 2",
+            "0 1 2.0",
+            "0 1 2\x00",
+            '"0" 1 2',
+            "0 1",
+            "0 1 2 3",
+        ],
+    )
+    def test_named_cases(self, body):
+        self.check(f"3 5 2\n{body}\n1 2 3\n")
+        self.check(f"3 5 2\n1 2 3\n{body}\n")

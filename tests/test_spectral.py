@@ -21,6 +21,7 @@ from hyperq.spectral import (
     rayleigh_q,
     rayleigh_maximize_bruteforce,
     spectral_radius,
+    _adjacency,
 )
 
 from conftest import connected_hypergraphs, hypergraphs
@@ -85,6 +86,31 @@ class TestApplyAdjacency:
                         p *= x[v]
                 want += p
             assert got[i] == pytest.approx(want, rel=1e-12)
+
+    @given(hypergraphs(max_n=10, rs=(2, 3, 4, 5), max_m=20), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_bits_match_prefix_suffix_kernel(self, hg, data):
+        value = st.one_of(st.just(0.0), st.floats(min_value=-1e3, max_value=1e3, allow_subnormal=False))
+        x = np.array(data.draw(st.lists(value, min_size=hg.n, max_size=hg.n)), dtype=np.float64)
+        got = _adjacency(hg.edge_array, hg.n, x)
+        assert got.tobytes() == prefix_suffix_adjacency(hg.edge_array, hg.n, x).tobytes()
+
+
+def prefix_suffix_adjacency(edges, n, x):
+    """The cumprod prefix/suffix kernel that _adjacency replaced, kept as its reference."""
+    out = np.zeros(n)
+    m, r = edges.shape
+    if m == 0:
+        return out
+    vals = x[edges]
+    prefix = np.ones((m, r))
+    suffix = np.ones((m, r))
+    prefix[:, 1:] = np.cumprod(vals[:, :-1], axis=1)
+    suffix[:, -2::-1] = np.cumprod(vals[:, :0:-1], axis=1)
+    partial = prefix * suffix
+    for j in range(r):
+        out += np.bincount(edges[:, j], weights=partial[:, j], minlength=n)
+    return out
 
 
 class TestApplySignlessLaplacian:
@@ -385,3 +411,27 @@ def test_disconnected_result_is_best_component(hg):
     assert (res.rho, res.lower, res.upper, res.history) == (best.rho, best.lower, best.upper, best.history)
     assert np.array_equal(res.eigenvector[best_comp], best.eigenvector)
     assert np.count_nonzero(res.eigenvector) == np.count_nonzero(best.eigenvector)
+
+
+@pytest.mark.parametrize("operator", [SIGNLESS_LAPLACIAN, ADJACENCY])
+def test_one_component_matches_grouped_path(operator):
+    # the loose 3-path iterates on its edge array as it is; an extra isolated
+    # vertex sends the same edges through the per-component renumbering
+    edges = [(2 * i, 2 * i + 1, 2 * i + 2) for i in range(1500)]
+    alone = spectral_radius(Hypergraph(3, 3001, edges), operator, max_iter=60)
+    padded = spectral_radius(Hypergraph(3, 3002, edges), operator, max_iter=60)
+    assert not alone.converged and alone.iterations == 60
+    fields = ("rho", "lower", "upper", "iterations", "residual", "converged", "history")
+    assert [getattr(alone, f) for f in fields] == [getattr(padded, f) for f in fields]
+    assert alone.eigenvector.tobytes() == padded.eigenvector[:3001].tobytes()
+    assert padded.eigenvector[3001] == 0.0
+
+
+def test_disjoint_triples():
+    hg = Hypergraph(3, 24000, np.arange(24000).reshape(8000, 3))
+    one = spectral_radius(SINGLE_EDGE)
+    res = spectral_radius(hg)
+    assert (res.rho, res.lower, res.upper, res.history) == (one.rho, one.lower, one.upper, one.history)
+    assert res.iterations == 8000 * one.iterations and res.converged
+    assert res.eigenvector[:3].tobytes() == one.eigenvector.tobytes()
+    assert not res.eigenvector[3:].any()
