@@ -9,7 +9,6 @@ or input-data error, 4 spectral iteration did not converge, 5 at least
 one verification record failed.
 """
 
-import json
 from pathlib import Path
 
 import click
@@ -26,7 +25,7 @@ from .hypergraph import (
     parse,
     serialize,
 )
-from .reporting import FORMATS, Record, render
+from .reporting import FORMATS, Record, render, to_verdict
 from .spectral import ADJACENCY, SIGNLESS_LAPLACIAN, spectral_radius
 from .turan import (
     CriterionParams,
@@ -180,7 +179,7 @@ def gen_expansion(base_file, r, out):
 
 @main.command("spectral")
 @click.argument("input_path", metavar="FILE")
-@click.option("--operator", "-o", default="q", show_default=True, help="q|signless_laplacian or a|adjacency.")
+@click.option("--operator", "-o", type=click.Choice(list(_OPERATORS)), default="q", show_default=True)
 @_TOL_OPT
 @_MAX_ITER_OPT
 @click.option("--format", "fmt", type=click.Choice(FORMATS), default="text", show_default=True)
@@ -189,12 +188,9 @@ def gen_expansion(base_file, r, out):
 @click.pass_context
 def cmd_spectral(ctx, input_path, operator, tol, max_iter, fmt, with_vector, out):
     """Tensor spectral radius of the hypergraph in FILE."""
-    if operator not in _OPERATORS:
-        raise click.UsageError(f"unknown operator {operator!r}; use one of {sorted(_OPERATORS)}")
     hg = _read_hypergraph(input_path)
     res = spectral_radius(hg, _OPERATORS[operator], tol=tol, max_iter=max_iter)
-
-    fields = {
+    report = {
         "operator": _OPERATORS[operator],
         "rho": res.rho,
         "lower": res.lower,
@@ -203,27 +199,10 @@ def cmd_spectral(ctx, input_path, operator, tol, max_iter, fmt, with_vector, out
         "residual": res.residual,
         "converged": res.converged,
     }
+    csv_row = dict(report)
     if with_vector:
-        fields["eigenvector"] = [float(v) for v in res.eigenvector]
-    if fmt == "json":
-        text = json.dumps(fields, indent=2) + "\n"
-    elif fmt == "csv":
-        keys = [k for k in fields if k != "eigenvector"]
-        row = [repr(fields[k]) if isinstance(fields[k], float) else str(fields[k]).lower() if isinstance(fields[k], bool) else str(fields[k]) for k in keys]
-        text = ",".join(keys) + "\n" + ",".join(row) + "\n"
-    else:
-        lines = []
-        for k, v in fields.items():
-            if k == "eigenvector":
-                lines.append("eigenvector = " + " ".join(repr(float(t)) for t in v))
-            elif isinstance(v, bool):
-                lines.append(f"{k} = {'true' if v else 'false'}")
-            elif isinstance(v, float):
-                lines.append(f"{k} = {v!r}")
-            else:
-                lines.append(f"{k} = {v}")
-        text = "\n".join(lines) + "\n"
-    _write_text(text, out)
+        report["eigenvector"] = [float(v) for v in res.eigenvector]
+    _write_text(render(csv_row if fmt == "csv" else report, fmt), out)
     if not res.converged:
         ctx.exit(4)
 
@@ -260,15 +239,12 @@ def cmd_check(ctx, what, input_path, fmt, out):
         witness = list(coloring.assignment) if ok else None
         witness_name = "coloring"
 
-    if fmt == "json":
-        text = json.dumps({"check": what, "verdict": verdict, "ok": ok, witness_name: witness}, indent=2) + "\n"
-    elif fmt == "csv":
-        cell = "" if witness is None else " ".join(map(str, witness))
-        text = f"check,verdict,{witness_name}\n{what},{verdict},{cell}\n"
+    report = {"check": what, "verdict": verdict, "ok": ok, witness_name: witness}
+    csv_row = {k: v for k, v in report.items() if k != "ok"}
+    if fmt == "text":
+        text = to_verdict(verdict, witness_name, witness)
     else:
-        text = verdict + "\n"
-        if witness is not None:
-            text += f"{witness_name}: " + " ".join(map(str, witness)) + "\n"
+        text = render(csv_row if fmt == "csv" else report, fmt)
     _write_text(text, out)
     ctx.exit(0 if ok else 1)
 
@@ -301,9 +277,13 @@ def cmd_verify(ctx, what, n_range, sigma, samples, seed, tol, max_iter, fmt, out
             for n in range(lo, hi + 1):
                 low, up = bn_q_bounds(n)
                 hg, _ = build_bn(n)
-                rho = spectral_radius(hg, tol=tol, max_iter=max_iter).rho
-                ok = low - 1e-6 <= rho <= up + 1e-6
-                records.append(Record("bounds", n, "operator=signless_laplacian", rho, f"{low!r}..{up!r}", ok))
+                res = spectral_radius(hg, tol=tol, max_iter=max_iter)
+                if not res.converged:
+                    raise NoConvergenceError(
+                        f"spectral iteration on n={hg.n}, m={hg.m} did not converge in {res.iterations} iterations"
+                    )
+                ok = low - 1e-6 <= res.rho <= up + 1e-6
+                records.append(Record("bounds", n, "operator=signless_laplacian", res.rho, f"{low!r}..{up!r}", ok))
         elif what == "splits":
             for n in range(lo, hi + 1):
                 profiles, best_a = scan_splits(n)

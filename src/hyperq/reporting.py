@@ -1,9 +1,9 @@
-"""Uniform report records and their text / json / csv rendering.
+"""Report rendering for every subcommand: text / json / csv.
 
-Every verification produces a flat list of records with the same six
-fields, so one renderer serves all subcommands.  Numbers are written
-with repr, which round-trips float64 exactly; output carries no
-timestamps or environment data, so identical runs give identical bytes.
+A report is either one dict of named fields (``spectral``, ``check``) or
+a flat list of records with the same six fields (``verify``).  Numbers
+are written with repr, which round-trips float64 exactly; output carries
+no timestamps or environment data, so identical runs give identical bytes.
 """
 
 import json
@@ -42,39 +42,46 @@ def _cell(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, list):
+        return " ".join(_cell(v) for v in value)
     return str(value)
 
 
-def to_json(records: list[Record]) -> str:
-    return json.dumps([rec.as_dict() for rec in records], indent=2) + "\n"
+def _rows(report: dict | list[Record]) -> tuple[list[str], list[list[str]]]:
+    """Column names and cells: a dict is one row, a record list one row per record."""
+    dicts = [report] if isinstance(report, dict) else [rec.as_dict() for rec in report]
+    names = list(dicts[0]) if dicts else CSV_HEADER.split(",")
+    return names, [[_cell(v) for v in d.values()] for d in dicts]
 
 
-def to_csv(records: list[Record]) -> str:
-    lines = [CSV_HEADER]
-    for rec in records:
-        cells = [rec.op, rec.n, rec.inputs, rec.value, rec.bound, rec.passed]
-        lines.append(",".join(_cell(c) for c in cells))
-    return "\n".join(lines) + "\n"
+def to_json(report: dict | list[Record]) -> str:
+    return json.dumps(report, indent=2, default=Record.as_dict) + "\n"
 
 
-def to_table(records: list[Record]) -> str:
-    headers = ["op", "n", "inputs", "value", "bound", "pass"]
-    rows = [
-        [_cell(rec.op), _cell(rec.n), _cell(rec.inputs), _cell(rec.value), _cell(rec.bound), _cell(rec.passed)]
-        for rec in records
-    ]
-    widths = [max(len(h), *(len(row[i]) for row in rows)) if rows else len(h) for i, h in enumerate(headers)]
-    out = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    for row in rows:
-        out.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return "\n".join(out) + "\n"
+def to_csv(report: dict | list[Record]) -> str:
+    names, rows = _rows(report)
+    return "".join(",".join(row) + "\n" for row in [names, *rows])
 
 
-def render(records: list[Record], fmt: str) -> str:
+def to_text(report: dict | list[Record]) -> str:
+    """A dict as ``key = value`` lines; a record list as an aligned table."""
+    if isinstance(report, dict):
+        return "".join(f"{k} = {_cell(v)}\n" for k, v in report.items())
+    names, rows = _rows(report)
+    widths = [max(len(c) for c in col) for col in zip(names, *rows)]
+    return "".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n" for row in [names, *rows])
+
+
+def to_verdict(verdict: str, witness_name: str, witness: list | None) -> str:
+    """``check``'s text: the verdict, then the witness line when there is one."""
+    return verdict + "\n" + ("" if witness is None else f"{witness_name}: {_cell(witness)}\n")
+
+
+def render(report: dict | list[Record], fmt: str) -> str:
     if fmt == "json":
-        return to_json(records)
+        return to_json(report)
     if fmt == "csv":
-        return to_csv(records)
+        return to_csv(report)
     if fmt == "text":
-        return to_table(records)
+        return to_text(report)
     raise ArgumentRangeError(f"unknown format {fmt!r}")

@@ -23,7 +23,13 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import ArgumentRangeError, DimensionMismatchError, NegativeEntryError, NotNormalizedError
+from .errors import (
+    ArgumentRangeError,
+    DimensionMismatchError,
+    NegativeEntryError,
+    NoConvergenceError,
+    NotNormalizedError,
+)
 from .hypergraph import Hypergraph
 
 ADJACENCY = "adjacency"
@@ -32,6 +38,8 @@ OPERATORS = (ADJACENCY, SIGNLESS_LAPLACIAN)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(eq=False)
@@ -122,8 +130,14 @@ def eigen_residual(hg: Hypergraph, rho: float, x, operator: str = SIGNLESS_LAPLA
     return float(np.max(np.abs(apply(hg, x) - rho * x ** (hg.r - 1)))) if hg.n else 0.0
 
 
-def _component_iterate(edges, n, r, operator, tol, max_iter, shift):
-    """Bracketed power iteration on one connected, edge-bearing piece."""
+def _component_iterate(edges, n, r, operator, tol, max_iter):
+    """Bracketed power iteration on one connected, edge-bearing piece.
+
+    The adjacency operator is iterated as A + I, whose positive diagonal
+    keeps the plain iteration from cycling, and the shift is taken off
+    the bracket; the signless Laplacian already has a positive diagonal.
+    """
+    shift = 1.0 if operator == ADJACENCY else 0.0
     deg = np.bincount(edges.ravel(), minlength=n).astype(np.float64)
     x = np.full(n, n ** (-1.0 / r))
     history = []
@@ -160,13 +174,10 @@ def spectral_radius(
     operator: str = SIGNLESS_LAPLACIAN,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    shift: float | None = None,
 ) -> SpectralResult:
     """Largest H-eigenvalue of the chosen nonnegative tensor.
 
-    ``shift`` defaults to 1.0 for the adjacency operator (whose zero
-    diagonal can make the plain iteration cycle) and 0.0 for the signless
-    Laplacian.  Disconnected inputs are handled per component; the result
+    Disconnected inputs are handled per component; the result
     carries the winning component's bracket and eigenvector (embedded in
     the full vertex space), total iterations across components, and
     converged = all components converged.  On hitting max_iter the best
@@ -178,10 +189,6 @@ def spectral_radius(
         raise ArgumentRangeError(f"tol must be > 0, got {tol}")
     if max_iter < 1:
         raise ArgumentRangeError(f"max_iter must be >= 1, got {max_iter}")
-    if shift is None:
-        shift = 1.0 if operator == ADJACENCY else 0.0
-    if shift < 0:
-        raise ArgumentRangeError(f"shift must be >= 0, got {shift}")
 
     if hg.m == 0:
         vec = np.full(hg.n, hg.n ** (-1.0 / hg.r)) if hg.n else np.zeros(0)
@@ -209,7 +216,7 @@ def spectral_radius(
     for ci, (comp, start, stop) in enumerate(zip(comps, [0] + ends, ends)):
         if start == stop:
             continue
-        res = _component_iterate(grouped[start:stop], len(comp), hg.r, operator, tol, max_iter, shift)
+        res = _component_iterate(grouped[start:stop], len(comp), hg.r, operator, tol, max_iter)
         total_iterations += res[4]
         all_converged = all_converged and res[6]
         if best is None or res[0] > best[0]:
@@ -219,6 +226,26 @@ def spectral_radius(
     vec = np.zeros(hg.n)
     vec[best[3]] = x
     return SpectralResult(rho, lower, upper, vec, total_iterations, residual, all_converged, history)
+
+
+def _golden_max(f, lo: float, hi: float, budget: int = 200) -> tuple[float, float]:
+    """Golden-section maximum of a 1-D concave function on [lo, hi]."""
+    x1 = hi - _INV_PHI * (hi - lo)
+    x2 = lo + _INV_PHI * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(budget):
+        if hi - lo <= 1e-13 * max(abs(lo), abs(hi), 1.0):
+            mid = 0.5 * (lo + hi)
+            return mid, f(mid)
+        if f1 > f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _INV_PHI * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _INV_PHI * (hi - lo)
+            f2 = f(x2)
+    raise NoConvergenceError(f"golden-section bracket still {hi - lo} wide after {budget} iterations")
 
 
 def rayleigh_maximize_bruteforce(
@@ -243,7 +270,6 @@ def rayleigh_maximize_bruteforce(
         return 0.0, vec
     edges = hg.edges
     deg = hg.degrees()
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     rng = np.random.default_rng(rng_seed)
     best_val = -1.0
     best_y = None
@@ -280,24 +306,10 @@ def rayleigh_maximize_bruteforce(
                         return 0.0
                     return (deg[i] * t**r + r * s_i * t + big_k) / denom
 
-                lo, hi = 0.0, max(2.0 * y[i], 1.0)
+                hi = max(2.0 * y[i], 1.0)
                 while g(2.0 * hi) > g(hi):
                     hi *= 2.0
-                x1 = hi - inv_phi * (hi - lo)
-                x2 = lo + inv_phi * (hi - lo)
-                f1, f2 = g(x1), g(x2)
-                for _ in range(80):
-                    if hi - lo < 1e-13 * max(1.0, hi):
-                        break
-                    if f1 > f2:
-                        hi, x2, f2 = x2, x1, f1
-                        x1 = hi - inv_phi * (hi - lo)
-                        f1 = g(x1)
-                    else:
-                        lo, x1, f1 = x1, x2, f2
-                        x2 = lo + inv_phi * (hi - lo)
-                        f2 = g(x2)
-                t = 0.5 * (lo + hi)
+                t, _ = _golden_max(g, 0.0, hi)
                 moved = max(moved, abs(t - y[i]))
                 y[i] = t
             nrm = sum(t**r for t in y) ** (1.0 / r)

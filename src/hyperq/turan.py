@@ -27,10 +27,7 @@ import numpy as np
 
 from .errors import ArgumentRangeError, DisconnectedError, NoConvergenceError, TooSmallError
 from .hypergraph import Hypergraph, build_bn, build_two_part_complete, delete_vertex
-from .spectral import SpectralResult, spectral_radius
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
+from .spectral import SpectralResult, _golden_max, spectral_radius
 
 def fano_turan_number(n: int) -> int:
     """Extremal edge count C(n,3) - C(floor(n/2),3) - C(ceil(n/2),3).
@@ -142,26 +139,6 @@ class ExtremalityReport:
     max_q: float
     margin: float
     passed: bool
-
-
-def _golden_max(f, lo: float, hi: float, budget: int = 200) -> tuple[float, float]:
-    """Golden-section maximum of a 1-D concave function on [lo, hi]."""
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(budget):
-        if hi - lo <= 1e-13 * max(abs(lo), abs(hi), 1.0):
-            mid = 0.5 * (lo + hi)
-            return mid, f(mid)
-        if f1 > f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = f(x2)
-    raise NoConvergenceError(f"golden-section bracket still {hi - lo} wide after {budget} iterations")
 
 
 def two_block_q(a: int, b: int) -> SplitProfile:

@@ -11,6 +11,7 @@ from hyperq.hypergraph import build_fano, parse
 from hyperq.reporting import CSV_HEADER
 from hyperq.spectral import spectral_radius
 
+from cli_golden import CHECK, VERIFY
 from spectral_golden import SPECTRAL_B61
 
 
@@ -169,6 +170,33 @@ def test_spectral_report_bytes(runner, b61_file, key):
     assert res.stdout_bytes == SPECTRAL_B61[key].encode()
 
 
+@pytest.fixture(scope="module")
+def golden_hosts(tmp_path_factory):
+    root = tmp_path_factory.mktemp("hosts")
+    builds = {"k7": ["complete", "7", "3"], "b9": ["bn", "9"], "fano": ["fano"], "b8": ["bn", "8"]}
+    for name, args in builds.items():
+        assert invoke(CliRunner(), "gen", *args, "--out", str(root / f"{name}.txt")).exit_code == 0
+    return root
+
+
+@pytest.mark.parametrize("key", sorted(CHECK))
+def test_check_report_bytes(runner, golden_hosts, key):
+    what, host, fmt = key
+    res = invoke(runner, "check", what, str(golden_hosts / f"{host}.txt"), "--format", fmt)
+    code, stdout = CHECK[key]
+    assert res.exit_code == code
+    assert res.stdout_bytes == stdout.encode()
+
+
+@pytest.mark.parametrize("key", sorted(VERIFY))
+def test_verify_report_bytes(runner, key):
+    args, fmt = key
+    res = invoke(runner, "verify", *args.split(), "--format", fmt)
+    code, stdout = VERIFY[key]
+    assert res.exit_code == code
+    assert res.stdout_bytes == stdout.encode()
+
+
 class TestCheck:
     def test_k7_contains_fano(self, runner, tmp_path):
         path = tmp_path / "k7.txt"
@@ -248,6 +276,16 @@ class TestVerify:
         assert res.stdout == ""
         [line] = res.stderr.splitlines()
         assert "did not converge" in line
+
+    def test_bounds_unconverged_exit_4(self, runner):
+        res = invoke(runner, "verify", "bounds", "9", "--max-iter", "1")
+        assert res.exit_code == 4
+        assert res.stdout == ""
+        [line] = res.stderr.splitlines()
+        assert "did not converge" in line
+        # B_9 needs about 19 iterations at the default --tol, and fewer at a coarse one
+        assert invoke(runner, "verify", "bounds", "9", "--max-iter", "30").exit_code == 0
+        assert invoke(runner, "verify", "bounds", "9", "--max-iter", "5", "--tol", "1e-2").exit_code == 0
 
     def test_deterministic_bytes(self, runner):
         a = invoke(runner, "verify", "extremal", "8", "--samples", "3", "--seed", "5", "--format", "json")

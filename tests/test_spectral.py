@@ -235,8 +235,6 @@ class TestSpectralRadius:
         with pytest.raises(ArgumentRangeError):
             spectral_radius(k4, max_iter=0)
         with pytest.raises(ArgumentRangeError):
-            spectral_radius(k4, shift=-0.5)
-        with pytest.raises(ArgumentRangeError):
             spectral_radius(k4, operator="laplacian")
 
     def test_bracket_monotone_along_iterations(self, fano):
