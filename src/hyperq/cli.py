@@ -300,11 +300,11 @@ def cmd_verify(ctx, what, n_range, sigma, samples, seed, tol, max_iter, fmt, out
         elif what == "deletion":
             for n in range(lo, hi + 1):
                 hg, _ = build_bn(n)
-                chk = check_deletion_lemma(hg, tol=tol)
+                chk = check_deletion_lemma(hg, tol=tol, max_iter=max_iter)
                 records.append(Record("deletion", n, f"B_{n} w={chk.w}", chk.lhs, chk.rhs, chk.passed))
         else:
             for n in range(lo, hi + 1):
-                rep = verify_extremality(n, samples=samples, rng_seed=seed)
+                rep = verify_extremality(n, samples=samples, rng_seed=seed, tol=tol, max_iter=max_iter)
                 records.append(
                     Record("extremal", n, f"samples={samples} seed={seed}", rep.max_q, rep.q_reference, rep.passed)
                 )

@@ -5,7 +5,7 @@ sending every pattern edge onto some host edge.  Induced containment and
 embedding counts are out of scope.
 """
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,11 +36,19 @@ def contains_subgraph(host: Hypergraph, pattern: Hypergraph) -> Embedding | None
     """Exhaustive embedding search; returns a witness or None.
 
     Backtracks over pattern vertices in a static order (descending pattern
-    degree, ties by id).  Candidates at each level must extend every
-    pattern edge completed there to a host edge; they are read off a
-    completion index mapping each (r-1)-subset of a host edge to the
-    vertices completing it, which enforces the edge-closure check while
-    generating candidates.  Host-degree pruning is applied on top.
+    degree, ties by id), trying each level's candidates in ascending host
+    id.  A candidate set is a Python int used as a bitmask over host ids:
+    one AND of the vertex's domain, the complement of the used images, and
+    the interval its symmetry conditions allow.  A domain starts as the
+    host vertices whose degree is at least the pattern vertex's.
+
+    Forward checking (Haralick & Elliott, Artif. Intell. 14, 1980): once a
+    pattern edge has a single unplaced vertex q, q's domain is cut to the
+    host vertices completing the images of the other r-1 vertices to a host
+    edge, read off a completion index built once per call.  A placement
+    that leaves some such domain without an unused vertex is undone at
+    once, so a dead branch is cut where it is made rather than where it
+    runs dry; the embeddings found and their order do not change.
 
     Symmetry breaking (Grochow & Kellis, RECOMB 2007) makes the search
     visit each orbit of embeddings under Aut(pattern) once: the witness is
@@ -79,6 +87,52 @@ def _symmetry_conditions(pattern: Hypergraph) -> tuple[tuple[int, int], ...]:
     return tuple(conditions)
 
 
+def _completion_index(host: Hypergraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For every (r-1)-subset of a host edge, the host vertices completing it
+    to an edge, in CSR form: ``(keys, offsets, completers)``.
+
+    ``keys`` holds the distinct subsets in lexicographic order, one row per
+    position (shape ``(r-1, u)``, each row contiguous for `searchsorted`);
+    the completers of subset j are ``completers[offsets[j]:offsets[j + 1]]``.
+    Every temporary is an array of r*m or fewer entries, freed on return.
+    """
+    edges, r = host.edge_array, host.r
+
+    def column(j: int) -> np.ndarray:
+        # entry j of row i*m + e, the subset edge e leaves without its i-th
+        # vertex; that vertex, edges.T.ravel()[i*m + e], completes it
+        return np.concatenate([edges[:, j + (j >= i)] for i in range(r)])
+
+    order, starts = _sort_rows(column, r - 1, host.n)
+    keys = np.array([column(j)[order[starts]] for j in range(r - 1)])
+    return keys, np.append(starts, len(order)), edges.T.ravel()[order]
+
+
+def _sort_rows(column: Callable[[int], np.ndarray], width: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lexicographic order of rows of ids in [0, n), given column by
+    column, and the positions in that order where a new distinct row starts.
+
+    Sorts one int64 key per row when ``n**width`` fits in int64, and runs
+    `np.lexsort` over the columns otherwise.
+    """
+    if n**width < 2**63:
+        packed = column(0)
+        for j in range(1, width):
+            packed *= n
+            packed += column(j)
+        order = np.argsort(packed)
+        ordered = [packed[order]]
+    else:
+        columns = [column(j) for j in range(width)]
+        order = np.lexsort(columns[::-1])
+        ordered = [c[order] for c in columns]
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for c in ordered:
+        new[1:] |= c[1:] != c[:-1]
+    return order, np.flatnonzero(new)
+
+
 def _embeddings(
     host: Hypergraph,
     pattern: Hypergraph,
@@ -89,24 +143,21 @@ def _embeddings(
 
     Each condition (a, b) demands phi(a) < phi(b); it bounds the candidates
     at the level where the later of a and b is placed.  ``pinned`` fixes
-    the images of some pattern vertices, which are placed first.
+    the images of some pattern vertices, which are placed first.  Sets of
+    host vertices are bitmasks (see `contains_subgraph`); a completer mask
+    is built the first time the search reads its key and kept for this
+    call only, since one mask per key would cost up to n/8 bytes each.
     """
     pinned = pinned or {}
-    completions: dict[tuple[int, ...], list[int]] = {}
-    cols = host.edge_array.T.tolist()
-    for i, col in enumerate(cols):
-        for others, v in zip(zip(*cols[:i], *cols[i + 1 :]), col):
-            completions.setdefault(others, []).append(v)
-
     pat_deg = pattern.degrees()
-    host_deg = host.degrees()
     order = sorted(range(pattern.n), key=lambda v: (v not in pinned, -pat_deg[v], v))
     level = {v: k for k, v in enumerate(order)}
-    # pattern edges grouped by the level at which their last vertex is placed
-    finishing: list[list[tuple[int, ...]]] = [[] for _ in range(pattern.n)]
+    # per level, the pattern edges left with one unplaced vertex q once that
+    # level's vertex is placed, as (q, the vertices placed before that level)
+    pending: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(pattern.n)]
     for f in pattern.edges:
-        k = max(level[v] for v in f)
-        finishing[k].append(tuple(v for v in f if v != order[k]))
+        *earlier, last, q = sorted(f, key=level.__getitem__)
+        pending[level[last]].append((q, tuple(earlier)))
     # per level, the earlier-placed vertices whose images bound it below / above
     below: list[list[int]] = [[] for _ in range(pattern.n)]
     above: list[list[int]] = [[] for _ in range(pattern.n)]
@@ -116,10 +167,28 @@ def _embeddings(
         else:
             above[level[a]].append(b)
 
-    assign = [-1] * pattern.n
-    used = [False] * host.n
+    keys, offsets, completers = _completion_index(host)
+    # completer masks by the images of r-1 pattern vertices, in any order
+    masks: dict[tuple[int, ...], int] = {}
 
-    def extend(k: int) -> Iterator[tuple[int, ...]]:
+    def completer_mask(images: tuple[int, ...]) -> int:
+        lo, hi = 0, len(offsets) - 1
+        for col, h in zip(keys, sorted(images)):
+            part = col[lo:hi]
+            lo, hi = lo + int(part.searchsorted(h)), lo + int(part.searchsorted(h, "right"))
+        mask = 0
+        for h in completers[offsets[lo] : offsets[hi]].tolist():
+            mask |= 1 << h
+        masks[images] = mask
+        return mask
+
+    host_deg = np.bincount(host.edge_array.ravel(), minlength=host.n)
+    at_least = {
+        d: int.from_bytes(np.packbits(host_deg >= d, bitorder="little").tobytes(), "little") for d in set(pat_deg)
+    }
+    assign = [-1] * pattern.n
+
+    def extend(k: int, used: int, domains: list[int]) -> Iterator[tuple[int, ...]]:
         if k == pattern.n:
             yield tuple(assign)
             return
@@ -128,30 +197,26 @@ def _embeddings(
         hi = min((assign[b] for b in above[k]), default=host.n)
         if p in pinned:
             lo, hi = max(lo, pinned[p] - 1), min(hi, pinned[p] + 1)
-        if finishing[k]:
-            cand: set[int] | None = None
-            for others in finishing[k]:
-                key = tuple(sorted(assign[v] for v in others))
-                completers = completions.get(key)
-                if not completers:
-                    return
-                cand = set(completers) if cand is None else cand & set(completers)
-                if not cand:
-                    return
-            candidates = [h for h in sorted(cand) if lo < h < hi]
-        else:
-            candidates = range(lo + 1, hi)
-        need = pat_deg[p]
-        for h in candidates:
-            if used[h] or host_deg[h] < need:
-                continue
-            assign[p] = h
-            used[h] = True
-            yield from extend(k + 1)
-            used[h] = False
-            assign[p] = -1
+        if hi <= lo + 1:
+            return
+        cand = domains[p] & ~used & ((1 << hi) - (1 << (lo + 1)))
+        fixed = [(q, tuple([assign[v] for v in earlier])) for q, earlier in pending[k]]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            h = assign[p] = low.bit_length() - 1
+            placed = used | low
+            narrowed = domains.copy() if fixed else domains
+            for q, images in fixed:
+                key = images + (h,)
+                mask = masks.get(key)
+                narrowed[q] &= completer_mask(key) if mask is None else mask
+                if not narrowed[q] & ~placed:
+                    break
+            else:
+                yield from extend(k + 1, placed, narrowed)
 
-    return extend(0)
+    return extend(0, 0, [at_least[d] for d in pat_deg])
 
 
 def is_fano_free(hg: Hypergraph) -> bool:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ArgumentRangeError, DisconnectedError, NoConvergenceError, TooSmallError
 from .hypergraph import Hypergraph, build_bn, build_two_part_complete, delete_vertex
-from .spectral import SpectralResult, _golden_max, spectral_radius
+from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, SpectralResult, _golden_max, spectral_radius
 
 def fano_turan_number(n: int) -> int:
     """Extremal edge count C(n,3) - C(floor(n/2),3) - C(ceil(n/2),3).
@@ -231,9 +231,9 @@ def check_condition2(
     return out
 
 
-def _converged_radius(hg: Hypergraph) -> SpectralResult:
+def _converged_radius(hg: Hypergraph, tol: float, max_iter: int) -> SpectralResult:
     """spectral_radius(hg); raises NoConvergenceError rather than return an unconverged value."""
-    res = spectral_radius(hg)
+    res = spectral_radius(hg, tol=tol, max_iter=max_iter)
     if not res.converged:
         raise NoConvergenceError(
             f"spectral iteration on n={hg.n}, m={hg.m} did not converge in {res.iterations} iterations"
@@ -241,7 +241,9 @@ def _converged_radius(hg: Hypergraph) -> SpectralResult:
     return res
 
 
-def check_deletion_lemma(hg: Hypergraph, tol: float = 1e-8) -> DeletionCheck:
+def check_deletion_lemma(
+    hg: Hypergraph, slack: float = 1e-8, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
+) -> DeletionCheck:
     """Vertex-deletion inequality at the eigenvector's smallest entry.
 
     With q = q(H), x its positive unit eigenvector, w = argmin x_w and
@@ -249,8 +251,9 @@ def check_deletion_lemma(hg: Hypergraph, tol: float = 1e-8) -> DeletionCheck:
 
         q(H - w) >= (1 - r t)/(1 - t) * q - n^(r-2)/(r-2)! * (1 - (n-1) t)/(1 - t).
 
-    Returns both sides and whether lhs >= rhs - tol.  Raises
-    NoConvergenceError if either spectral iteration does not converge.
+    Returns both sides and whether lhs >= rhs - slack.  ``tol`` and
+    ``max_iter`` go to both spectral iterations; raises NoConvergenceError
+    if either does not converge.
     """
     if hg.r < 3:
         raise ArgumentRangeError(f"deletion check needs r >= 3, got r={hg.r}")
@@ -258,7 +261,7 @@ def check_deletion_lemma(hg: Hypergraph, tol: float = 1e-8) -> DeletionCheck:
         raise TooSmallError(f"deletion check needs at least 2 edges, got {hg.m}")
     if len(hg.components()) != 1:
         raise DisconnectedError("deletion check needs a connected hypergraph")
-    res = _converged_radius(hg)
+    res = _converged_radius(hg, tol, max_iter)
     x = res.eigenvector
     w = int(min(range(hg.n), key=lambda i: x[i]))
     t = float(x[w]) ** hg.r
@@ -266,8 +269,8 @@ def check_deletion_lemma(hg: Hypergraph, tol: float = 1e-8) -> DeletionCheck:
     rhs = (1.0 - r * t) / (1.0 - t) * res.rho - (
         n ** (r - 2) / math.factorial(r - 2) * (1.0 - (n - 1) * t) / (1.0 - t)
     )
-    lhs = _converged_radius(delete_vertex(hg, w)).rho
-    return DeletionCheck(lhs, rhs, lhs >= rhs - tol, w)
+    lhs = _converged_radius(delete_vertex(hg, w), tol, max_iter).rho
+    return DeletionCheck(lhs, rhs, lhs >= rhs - slack, w)
 
 
 def _random_colorable(rng: random.Random, n: int) -> Hypergraph:
@@ -284,14 +287,17 @@ def _random_colorable(rng: random.Random, n: int) -> Hypergraph:
     return Hypergraph(3, n, edges)
 
 
-def verify_extremality(n: int, samples: int = 20, rng_seed: int = 0) -> ExtremalityReport:
+def verify_extremality(
+    n: int, samples: int = 20, rng_seed: int = 0, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
+) -> ExtremalityReport:
     """Sampled check that B_n beats its Fano-free competitors on q.
 
     Competitors: every unbalanced complete split, `samples` random edge
     deletions from B_n, and `samples` random sub-hypergraphs of complete
     two-part 3-graphs.  Each must stay below q(B_n) by more than 1e-8.
-    Desk-scale evidence for the extremal statement, not a proof.  Raises
-    NoConvergenceError if any spectral iteration does not converge.
+    Desk-scale evidence for the extremal statement, not a proof.  ``tol``
+    and ``max_iter`` go to every spectral iteration; raises
+    NoConvergenceError if any does not converge.
     """
     if n < 7:
         raise ArgumentRangeError(f"extremality check needs n >= 7, got {n}")
@@ -299,7 +305,7 @@ def verify_extremality(n: int, samples: int = 20, rng_seed: int = 0) -> Extremal
         raise ArgumentRangeError(f"samples must be >= 1, got {samples}")
     rng = random.Random(rng_seed)
     base, _ = build_bn(n)
-    q_ref = _converged_radius(base).rho
+    q_ref = _converged_radius(base, tol, max_iter).rho
 
     competitors = []
 
@@ -313,10 +319,10 @@ def verify_extremality(n: int, samples: int = 20, rng_seed: int = 0) -> Extremal
     for _ in range(samples):
         k = rng.randint(1, 3)
         edges = np.delete(base.edge_array, rng.sample(range(base.m), k), axis=0)
-        add("edge-deletion", f"dropped={k}", _converged_radius(Hypergraph(3, n, edges)).rho)
+        add("edge-deletion", f"dropped={k}", _converged_radius(Hypergraph(3, n, edges), tol, max_iter).rho)
     for _ in range(samples):
         hg = _random_colorable(rng, n)
-        add("random-colorable", f"m={hg.m}", _converged_radius(hg).rho)
+        add("random-colorable", f"m={hg.m}", _converged_radius(hg, tol, max_iter).rho)
 
     max_q = max(c.q for c in competitors)
     return ExtremalityReport(

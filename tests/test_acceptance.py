@@ -155,13 +155,13 @@ def test_criterion_07():
 def test_criterion_08():
     named = [build_complete(5, 3)] + [build_bn(n)[0] for n in range(7, 13)]
     for hg in named:
-        assert check_deletion_lemma(hg, tol=1e-6).passed
+        assert check_deletion_lemma(hg, slack=1e-6).passed
     rng = random.Random(777)
     for seed in range(200):
         n = rng.randint(6, 12)
         m = rng.randint(n, min(2 * n, math.comb(n, 3)))
         hg = random_connected(n, 3, m, rng=seed)
-        assert check_deletion_lemma(hg, tol=1e-6).passed, f"seed={seed} n={n} m={m}"
+        assert check_deletion_lemma(hg, slack=1e-6).passed, f"seed={seed} n={n} m={m}"
     return "K5, B_7..B_12 and 200 seeded random connected 3-graphs"
 
 

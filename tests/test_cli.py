@@ -1,15 +1,12 @@
-import functools
 import json
 
 import pytest
 from click.testing import CliRunner
 
-import hyperq.turan
 from hyperq.cli import main
 from hyperq.containment import Embedding
 from hyperq.hypergraph import build_fano, parse
 from hyperq.reporting import CSV_HEADER
-from hyperq.spectral import spectral_radius
 
 from cli_golden import CHECK, VERIFY
 from spectral_golden import SPECTRAL_B61
@@ -269,9 +266,10 @@ class TestVerify:
         assert rec["value"] < rec["bound"]
 
     @pytest.mark.parametrize("what", ["deletion", "extremal"])
-    def test_unconverged_exit_4(self, runner, monkeypatch, what):
-        monkeypatch.setattr(hyperq.turan, "spectral_radius", functools.partial(spectral_radius, max_iter=1))
-        res = invoke(runner, "verify", what, "9", "--samples", "2")
+    def test_unconverged_exit_4(self, runner, what):
+        # both commands ignored --max-iter (and --tol) before it was threaded through
+        n_range = {"deletion": "7:8", "extremal": "8"}[what]
+        res = invoke(runner, "verify", what, n_range, "--samples", "3", "--max-iter", "1")
         assert res.exit_code == 4
         assert res.stdout == ""
         [line] = res.stderr.splitlines()

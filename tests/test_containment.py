@@ -1,7 +1,9 @@
+from collections.abc import Iterable, Iterator
 from itertools import combinations, permutations, product
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperq.containment import (
@@ -35,6 +37,118 @@ def brute_force_two_colorable(hg):
     return False
 
 
+def reference_embeddings(
+    host: Hypergraph,
+    pattern: Hypergraph,
+    conditions: Iterable[tuple[int, int]],
+    pinned: dict[int, int] | None = None,
+) -> Iterator[tuple[int, ...]]:
+    """The set-intersection search that `_embeddings` replaced, kept verbatim
+    as the reference: the bitmask search must yield the same embeddings in
+    the same order."""
+    pinned = pinned or {}
+    completions: dict[tuple[int, ...], list[int]] = {}
+    cols = host.edge_array.T.tolist()
+    for i, col in enumerate(cols):
+        for others, v in zip(zip(*cols[:i], *cols[i + 1 :]), col):
+            completions.setdefault(others, []).append(v)
+
+    pat_deg = pattern.degrees()
+    host_deg = host.degrees()
+    order = sorted(range(pattern.n), key=lambda v: (v not in pinned, -pat_deg[v], v))
+    level = {v: k for k, v in enumerate(order)}
+    # pattern edges grouped by the level at which their last vertex is placed
+    finishing: list[list[tuple[int, ...]]] = [[] for _ in range(pattern.n)]
+    for f in pattern.edges:
+        k = max(level[v] for v in f)
+        finishing[k].append(tuple(v for v in f if v != order[k]))
+    # per level, the earlier-placed vertices whose images bound it below / above
+    below: list[list[int]] = [[] for _ in range(pattern.n)]
+    above: list[list[int]] = [[] for _ in range(pattern.n)]
+    for a, b in conditions:
+        if level[a] < level[b]:
+            below[level[b]].append(a)
+        else:
+            above[level[a]].append(b)
+
+    assign = [-1] * pattern.n
+    used = [False] * host.n
+
+    def extend(k: int) -> Iterator[tuple[int, ...]]:
+        if k == pattern.n:
+            yield tuple(assign)
+            return
+        p = order[k]
+        lo = max((assign[a] for a in below[k]), default=-1)
+        hi = min((assign[b] for b in above[k]), default=host.n)
+        if p in pinned:
+            lo, hi = max(lo, pinned[p] - 1), min(hi, pinned[p] + 1)
+        if finishing[k]:
+            cand: set[int] | None = None
+            for others in finishing[k]:
+                key = tuple(sorted(assign[v] for v in others))
+                completers = completions.get(key)
+                if not completers:
+                    return
+                cand = set(completers) if cand is None else cand & set(completers)
+                if not cand:
+                    return
+            candidates = [h for h in sorted(cand) if lo < h < hi]
+        else:
+            candidates = range(lo + 1, hi)
+        need = pat_deg[p]
+        for h in candidates:
+            if used[h] or host_deg[h] < need:
+                continue
+            assign[p] = h
+            used[h] = True
+            yield from extend(k + 1)
+            used[h] = False
+            assign[p] = -1
+
+    return extend(0)
+
+
+def reference_symmetry_conditions(pattern):
+    """`_symmetry_conditions` over the reference search, uncached."""
+    conditions = []
+    for v in range(pattern.n):
+        fixed = {w: w for w in range(v)}
+        for u in range(v + 1, pattern.n):
+            if next(reference_embeddings(pattern, pattern, (), {**fixed, v: u}), None) is not None:
+                conditions.append((v, u))
+    return tuple(conditions)
+
+
+@st.composite
+def search_problems(draw, rs=(2, 3, 4, 5), max_host_n=7):
+    """(host, pattern, conditions, pinned) for each r in rs, the host drawn
+    by `hosts_around`.  The conditions are none, the pattern's symmetry
+    conditions or arbitrary pairs (which may contradict each other); pinned
+    maps some pattern vertices to host ids, not necessarily injectively."""
+    r = draw(st.sampled_from(rs))
+    k = draw(st.integers(min_value=r, max_value=6) | st.integers(min_value=0, max_value=r))
+    pool = list(combinations(range(k), r))
+    pattern = Hypergraph(r, k, set(draw(st.lists(st.sampled_from(pool), max_size=3))) if pool else [])
+    host = draw(hosts_around(pattern, max_host_n))
+    kind = draw(st.sampled_from(["none", "symmetry", "pairs"]))
+    conditions: tuple[tuple[int, int], ...] = ()
+    if kind == "symmetry":
+        conditions = reference_symmetry_conditions(pattern)
+    elif kind == "pairs" and k >= 2:
+        pairs = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)).filter(lambda t: t[0] != t[1])
+        conditions = tuple(draw(st.lists(pairs, max_size=4)))
+    pinned = draw(st.none() | st.dictionaries(st.integers(0, k - 1), st.integers(0, host.n - 1), max_size=2)) if k else None
+    return host, pattern, conditions, pinned
+
+
+def without_isolated(hg):
+    """hg on its non-isolated vertices, renumbered in id order."""
+    keep = sorted({v for e in hg.edges for v in e})
+    rank = {v: i for i, v in enumerate(keep)}
+    return Hypergraph(hg.r, len(keep), [[rank[v] for v in e] for e in hg.edges])
+
+
 @st.composite
 def symmetric_patterns(draw):
     """Edge subsets of K4, K5 or K6 closed under a non-identity permutation,
@@ -54,13 +168,13 @@ def symmetric_patterns(draw):
 def hosts_around(draw, pattern, max_n):
     """A host on up to max_n vertices: random edges, with a relabelled copy
     of pattern planted or not."""
-    n = draw(st.integers(min_value=pattern.n, max_value=max_n))
-    pool = list(combinations(range(n), 3))
+    n = draw(st.integers(min_value=max(pattern.n, pattern.r), max_value=max_n))
+    pool = list(combinations(range(n), pattern.r))
     edges = set(draw(st.lists(st.sampled_from(pool), max_size=12)))
     if draw(st.booleans()):
         image = draw(st.permutations(range(n)))
         edges |= {tuple(sorted(image[v] for v in f)) for f in pattern.edges}
-    return Hypergraph(3, n, edges)
+    return Hypergraph(pattern.r, n, edges)
 
 
 class TestEmbeddingType:
@@ -151,6 +265,62 @@ class TestContainsSubgraph:
         assert (emb is not None) == brute_force_contains(host, pattern)
         if emb is not None:
             assert emb.is_valid_for(host, pattern)
+
+
+class TestSearchAgainstReference:
+    @given(search_problems())
+    @settings(max_examples=200, deadline=None)
+    def test_same_embeddings_in_same_order(self, problem):
+        host, pattern, conditions, pinned = problem
+        assert list(_embeddings(host, pattern, conditions, pinned)) == list(
+            reference_embeddings(host, pattern, conditions, pinned)
+        )
+
+    @given(search_problems(rs=(5,), max_host_n=8), st.sets(st.integers(0, 2**16 - 1), min_size=8, max_size=8))
+    @example(
+        (build_complete(7, 5), Hypergraph(5, 6, [(0, 1, 2, 3, 4), (0, 1, 2, 3, 5)]), (), None),
+        {0, 1, 2, 30_000, 40_000, 65_534, 65_535, 7},
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_host_ids_beyond_packed_keys(self, problem, from_top):
+        # n = 2^16 and r = 5 give n^(r-1) = 2^64, too many subsets for one
+        # int64 key, so the completion index takes its lexsort branch.  The
+        # reference would scan all 2^16 ids at every level that completes no
+        # edge, so it runs on the compact host, and its embeddings are mapped
+        # through the increasing relabelling, which keeps search order.
+        host, pattern, conditions, pinned = problem
+        pattern = without_isolated(pattern)
+        conditions = tuple((a, b) for a, b in conditions if max(a, b) < pattern.n)
+        pinned = {v: h for v, h in (pinned or {}).items() if v < pattern.n}
+        n = 2**16
+        assert n ** (host.r - 1) >= 2**63
+        # counted down from the top, so small drawn values reach the high ids
+        # whose packed key would pass 2^63
+        ids = sorted(n - 1 - i for i in from_top)[: host.n]
+        spread = Hypergraph(host.r, n, [[ids[v] for v in e] for e in host.edges])
+        expected = [tuple(ids[h] for h in emb) for emb in reference_embeddings(host, pattern, conditions, pinned)]
+        spread_pins = {v: ids[h] for v, h in pinned.items()}
+        assert list(_embeddings(spread, pattern, conditions, spread_pins)) == expected
+
+    @pytest.mark.parametrize("pattern", [build_fano(), build_complete(4, 3)], ids=["fano", "k4"])
+    def test_symmetry_conditions(self, pattern):
+        assert _symmetry_conditions(pattern) == reference_symmetry_conditions(pattern)
+
+    @given(symmetric_patterns())
+    @settings(max_examples=40, deadline=None)
+    def test_symmetry_conditions_of_symmetric_patterns(self, pattern):
+        assert _symmetry_conditions(pattern) == reference_symmetry_conditions(pattern)
+
+    def test_witnesses_unchanged(self, fano):
+        # witnesses of the set-intersection search, which the bitmask search keeps
+        for n, edge, witness in [
+            (20, (7, 8, 9), (0, 7, 10, 8, 11, 9, 12)),
+            (80, (0, 1, 9), (0, 1, 9, 2, 40, 41, 42)),
+            (80, (40, 41, 42), (0, 1, 40, 2, 3, 41, 42)),
+        ]:
+            host = Hypergraph(3, n, np.vstack([build_bn(n)[0].edge_array, [edge]]))
+            assert contains_subgraph(host, fano).mapping == witness
+        assert is_fano_free(build_bn(16)[0]) is True
 
 
 class TestFanoFree:

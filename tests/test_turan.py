@@ -1,11 +1,9 @@
-import functools
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import hyperq.turan
 from hyperq.errors import ArgumentRangeError, DisconnectedError, NoConvergenceError, TooSmallError
 from hyperq.hypergraph import Hypergraph, build_bn, build_complete, build_two_part_complete, random_connected
 from hyperq.spectral import spectral_radius
@@ -325,18 +323,12 @@ def test_single_edge_removal_strictly_decreases_q(n):
         assert q < q_ref - 1e-8, f"edge {i} of B_{n}"
 
 
-@pytest.fixture()
-def one_iteration(monkeypatch):
-    """Cap the spectral iteration used by hyperq.turan at one step."""
-    monkeypatch.setattr(hyperq.turan, "spectral_radius", functools.partial(spectral_radius, max_iter=1))
-
-
-def test_unconverged_deletion_check_raises(one_iteration):
+def test_unconverged_deletion_check_raises():
     with pytest.raises(NoConvergenceError):
-        check_deletion_lemma(build_bn(9)[0])
+        check_deletion_lemma(build_bn(9)[0], max_iter=1)
 
 
-def test_unconverged_extremality_raises(one_iteration):
+def test_unconverged_extremality_raises():
     # q(B_8) converges at once from the uniform start; its competitors do not
     with pytest.raises(NoConvergenceError):
-        verify_extremality(8, samples=2)
+        verify_extremality(8, samples=2, max_iter=1)
