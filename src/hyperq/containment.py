@@ -5,7 +5,7 @@ sending every pattern edge onto some host edge.  Induced containment and
 embedding counts are out of scope.
 """
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -95,42 +95,35 @@ def _completion_index(host: Hypergraph) -> tuple[np.ndarray, np.ndarray, np.ndar
     position (shape ``(r-1, u)``, each row contiguous for `searchsorted`);
     the completers of subset j are ``completers[offsets[j]:offsets[j + 1]]``.
     Every temporary is an array of r*m or fewer entries, freed on return.
+
+    The rows are sorted by `np.lexsort` over int64 words, each packing as
+    many consecutive id columns as fit in 63 bits; for n^(r-1) < 2^63 that
+    is one word, and a stable sort of one packed key is about three times
+    faster than a lexsort over the columns.
     """
-    edges, r = host.edge_array, host.r
-
-    def column(j: int) -> np.ndarray:
-        # entry j of row i*m + e, the subset edge e leaves without its i-th
-        # vertex; that vertex, edges.T.ravel()[i*m + e], completes it
-        return np.concatenate([edges[:, j + (j >= i)] for i in range(r)])
-
-    order, starts = _sort_rows(column, r - 1, host.n)
-    keys = np.array([column(j)[order[starts]] for j in range(r - 1)])
-    return keys, np.append(starts, len(order)), edges.T.ravel()[order]
-
-
-def _sort_rows(column: Callable[[int], np.ndarray], width: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The lexicographic order of rows of ids in [0, n), given column by
-    column, and the positions in that order where a new distinct row starts.
-
-    Sorts one int64 key per row when ``n**width`` fits in int64, and runs
-    `np.lexsort` over the columns otherwise.
-    """
-    if n**width < 2**63:
-        packed = column(0)
-        for j in range(1, width):
-            packed *= n
-            packed += column(j)
-        order = np.argsort(packed)
-        ordered = [packed[order]]
-    else:
-        columns = [column(j) for j in range(width)]
-        order = np.lexsort(columns[::-1])
-        ordered = [c[order] for c in columns]
+    edges, r, m = host.edge_array, host.r, host.m
+    bits = max(1, (host.n - 1).bit_length())
+    per = 63 // bits
+    # row i*m + e is edge e without its i-th vertex, which completes it;
+    # word k packs the row's remaining ids per*k .. per*k + per - 1
+    words = []
+    for s in range(0, r - 1, per):
+        words.append(np.zeros(r * m, dtype=np.int64))
+        for j in range(s, min(s + per, r - 1)):
+            words[-1] <<= bits
+            words[-1] |= np.concatenate([edges[:, j + (j >= i)] for i in range(r)])
+    order = np.lexsort(words[::-1])
     new = np.zeros(len(order), dtype=bool)
     new[:1] = True
-    for c in ordered:
-        new[1:] |= c[1:] != c[:-1]
-    return order, np.flatnonzero(new)
+    for w in words:
+        w = w[order]
+        new[1:] |= w[1:] != w[:-1]
+    del words, w  # free the r*m-entry words before the completers are gathered
+    starts = np.flatnonzero(new)
+    i, e = np.divmod(order[starts], m)
+    j = np.arange(r - 1)[:, None]
+    keys = edges[e, j + (j >= i)]
+    return keys, np.append(starts, len(order)), edges.T.ravel()[order]
 
 
 def _embeddings(
@@ -147,6 +140,10 @@ def _embeddings(
     host vertices are bitmasks (see `contains_subgraph`); a completer mask
     is built the first time the search reads its key and kept for this
     call only, since one mask per key would cost up to n/8 bytes each.
+
+    Known limit: a mask's size follows the highest completer id, not the
+    number of completers, so on a host whose ids spread over a large n the
+    memo costs up to n/8 bytes for every distinct key the search reads.
     """
     pinned = pinned or {}
     pat_deg = pattern.degrees()
@@ -168,17 +165,23 @@ def _embeddings(
             above[level[a]].append(b)
 
     keys, offsets, completers = _completion_index(host)
-    # completer masks by the images of r-1 pattern vertices, in any order
+    # completer masks by the images of r-1 pattern vertices, in the order the
+    # search reads them; every order of one subset shares the int of its
+    # sorted order, so a mask is stored once and only a miss pays a sort
     masks: dict[tuple[int, ...], int] = {}
 
     def completer_mask(images: tuple[int, ...]) -> int:
-        lo, hi = 0, len(offsets) - 1
-        for col, h in zip(keys, sorted(images)):
-            part = col[lo:hi]
-            lo, hi = lo + int(part.searchsorted(h)), lo + int(part.searchsorted(h, "right"))
-        mask = 0
-        for h in completers[offsets[lo] : offsets[hi]].tolist():
-            mask |= 1 << h
+        subset = tuple(sorted(images))
+        mask = masks.get(subset)
+        if mask is None:
+            lo, hi = 0, len(offsets) - 1
+            for col, h in zip(keys, subset):
+                part = col[lo:hi]
+                lo, hi = lo + int(part.searchsorted(h)), lo + int(part.searchsorted(h, "right"))
+            mask = 0
+            for h in completers[offsets[lo] : offsets[hi]].tolist():
+                mask |= 1 << h
+            masks[subset] = mask
         masks[images] = mask
         return mask
 

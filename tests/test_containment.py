@@ -283,11 +283,11 @@ class TestSearchAgainstReference:
     )
     @settings(max_examples=60, deadline=None)
     def test_host_ids_beyond_packed_keys(self, problem, from_top):
-        # n = 2^16 and r = 5 give n^(r-1) = 2^64, too many subsets for one
-        # int64 key, so the completion index takes its lexsort branch.  The
-        # reference would scan all 2^16 ids at every level that completes no
-        # edge, so it runs on the compact host, and its embeddings are mapped
-        # through the increasing relabelling, which keeps search order.
+        # n = 2^16 and r = 5 give n^(r-1) = 2^64: a subset of 4 ids packed
+        # into one int64 key would overflow.  The reference would scan all
+        # 2^16 ids at every level that completes no edge, so it runs on the
+        # compact host, and its embeddings are mapped through the increasing
+        # relabelling, which keeps search order.
         host, pattern, conditions, pinned = problem
         pattern = without_isolated(pattern)
         conditions = tuple((a, b) for a, b in conditions if max(a, b) < pattern.n)

@@ -1,14 +1,17 @@
 """Record alternating parent/change benchmark runs in one JSON file.
 
     python3 tools/bench_record.py --parent DIR --change DIR --out BENCH_<n>.json \
-        --runs fano-search:10 --runs bn-cli:4 [--seconds 40] [--first-seed 1]
+        --runs fano-search:10 --runs bn-cli:4
 
-DIR is a checkout.  Pair i of a workload runs seed first-seed + i on both
-sides, the parent first on even i and the change first on odd i; each run is
-`python3 perfbench/run.py` from that checkout, unchanged, and its last JSON
-line is kept.  Then one `--trace 1` run per side and workload, and one
-tier-1 `pytest -q` per side, timed from outside.  The file is rewritten after
-every run, so an interrupted recording keeps what it measured.  Stdlib only.
+DIR is a checkout.  Pair i of a workload runs seed i + 1 on both sides, the
+parent first on even i and the change first on odd i; each run is
+`python3 perfbench/run.py` from that checkout, unchanged, for the
+`run_seconds` that BENCHMARK.json sets, and its exit code and last JSON line
+are kept.  A pair in which either run exited non-zero, was not correct or
+failed a query is left out of the summary and counted as excluded.  Then one
+`--trace 1` run per side and workload, and one tier-1 `pytest -q` per side,
+timed from outside.  The file is rewritten after every run, so an
+interrupted recording keeps what it measured.  Stdlib only.
 """
 
 import argparse
@@ -22,15 +25,26 @@ import time
 from pathlib import Path
 
 
-def _run(cwd: Path, argv: list[str]) -> tuple[float, str]:
+def _run(cwd: Path, argv: list[str]) -> tuple[float, int, str]:
     t0 = time.perf_counter()
     done = subprocess.run(argv, cwd=cwd, capture_output=True, text=True)
-    return time.perf_counter() - t0, done.stdout.strip().splitlines()[-1] if done.stdout.strip() else done.stderr[-500:]
+    last = done.stdout.strip().splitlines()[-1] if done.stdout.strip() else done.stderr[-500:]
+    return time.perf_counter() - t0, done.returncode, last
 
 
 def _bench(cwd: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
-    return json.loads(_run(cwd, argv + ["--trace", str(trace)])[1])
+    _, code, last = _run(cwd, argv + ["--trace", str(trace)])
+    try:
+        result = json.loads(last)
+    except json.JSONDecodeError:
+        result = {"correct": False, "error": last}
+    return {"returncode": code, "result": result}
+
+
+def _sound(run: dict) -> bool:
+    result = run["result"]
+    return run["returncode"] == 0 and result.get("correct") is True and result.get("failed") == 0
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -39,26 +53,28 @@ def _quartiles(values: list[float]) -> dict:
 
 
 def _summary(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per workload and metric: each side's quartiles over the whole pairs,
-    the pairs the change won, and the median gap over the parent's IQR."""
+    """Per workload and metric: each side's quartiles over the whole sound
+    pairs, the pairs the change won, and the median gap over the parent's
+    IQR; pairs with an unsound run are only counted."""
     out: dict = {}
     for wl in sorted({r["workload"] for r in runs}):
         pairs: dict[int, dict] = {}
         for r in runs:
             if r["workload"] == wl:
-                pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]["metrics"]
+                pairs.setdefault(r["seed"], {})[r["side"]] = r
         whole = [p for p in pairs.values() if len(p) == 2]
-        out[wl] = {}
-        for metric, sign in better.items() if whole else ():
-            parent = [p["parent"][metric]["value"] for p in whole]
-            change = [p["change"][metric]["value"] for p in whole]
+        sound = [{side: r["result"]["metrics"] for side, r in p.items()} for p in whole if all(map(_sound, p.values()))]
+        out[wl] = {"excluded_pairs": len(whole) - len(sound)}
+        for metric, sign in better.items() if sound else ():
+            parent = [p["parent"][metric]["value"] for p in sound]
+            change = [p["change"][metric]["value"] for p in sound]
             wins = sum((c > q) if sign == "higher" else (c < q) for q, c in zip(parent, change))
             pq, cq = _quartiles(parent), _quartiles(change)
             iqr = pq["q3"] - pq["q1"]
             out[wl][metric] = {
                 "parent": pq,
                 "change": cq,
-                "change_wins": f"{wins}/{len(whole)}",
+                "change_wins": f"{wins}/{len(sound)}",
                 "median_gap_over_parent_iqr": abs(cq["median"] - pq["median"]) / iqr if iqr else None,
             }
     return out
@@ -70,14 +86,13 @@ def main(argv=None) -> int:
     p.add_argument("--change", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--runs", action="append", required=True, help="WORKLOAD:PAIRS")
-    p.add_argument("--seconds", type=float, default=40.0)
-    p.add_argument("--first-seed", type=int, default=1)
     args = p.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     host = {"nproc": os.cpu_count(), "python": platform.python_version(), "machine": platform.machine()}
-    record: dict = {"host": host, "seconds": args.seconds, "runs": [], "traces": [], "tier1": {}, "summary": {}}
+    seconds = spec["run_seconds"]
+    record: dict = {"host": host, "seconds": seconds, "runs": [], "traces": [], "tier1": {}, "summary": {}}
 
     def save():
         record["summary"] = _summary(record["runs"], better)
@@ -86,19 +101,19 @@ def main(argv=None) -> int:
     for item in args.runs:
         workload, pairs = item.split(":")
         for i in range(int(pairs)):
-            seed = args.first_seed + i
+            seed = i + 1
             order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
             for side in order:
-                result = _bench(sides[side], workload, seed, args.seconds, 0)
-                record["runs"].append({"workload": workload, "seed": seed, "side": side, "first": order[0], "result": result})
+                run = _bench(sides[side], workload, seed, seconds, 0)
+                record["runs"].append({"workload": workload, "seed": seed, "side": side, "first": order[0], **run})
                 save()
         for side in ("parent", "change"):
-            result = _bench(sides[side], workload, args.first_seed, args.seconds, 1)
-            record["traces"].append({"workload": workload, "seed": args.first_seed, "side": side, "result": result})
+            run = _bench(sides[side], workload, 1, seconds, 1)
+            record["traces"].append({"workload": workload, "seed": 1, "side": side, **run})
             save()
     for side, cwd in sides.items():
-        wall, last = _run(cwd, [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"])
-        record["tier1"][side] = {"wall_s": wall, "last_line": last}
+        wall, code, last = _run(cwd, [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"])
+        record["tier1"][side] = {"wall_s": wall, "returncode": code, "last_line": last}
         save()
     return 0
 
