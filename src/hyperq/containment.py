@@ -98,8 +98,8 @@ def _completion_index(host: Hypergraph) -> tuple[np.ndarray, np.ndarray, np.ndar
 
     The rows are sorted by `np.lexsort` over int64 words, each packing as
     many consecutive id columns as fit in 63 bits; for n^(r-1) < 2^63 that
-    is one word, and a stable sort of one packed key is about three times
-    faster than a lexsort over the columns.
+    is one word, and a stable sort of one packed key is about twice as
+    fast as a lexsort over the columns.
     """
     edges, r, m = host.edge_array, host.r, host.m
     bits = max(1, (host.n - 1).bit_length())
