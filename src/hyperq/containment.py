@@ -240,13 +240,9 @@ def two_coloring(hg: Hypergraph) -> TwoColoring | None:
     Decisions live on an explicit stack, so the search depth is not
     bounded by the recursion limit.
     """
-    n = hg.n
     edges, incidence = hg.edges, hg.incidence
-    labels = [-1] * n
-    for v in range(n):
-        if not incidence[v]:
-            labels[v] = 0
-    order = [v for v in sorted(range(n), key=lambda v: (-len(incidence[v]), v)) if labels[v] < 0]
+    labels = [-1 if inc else 0 for inc in incidence]
+    order = [v for v in sorted(range(hg.n), key=lambda v: (-len(incidence[v]), v)) if labels[v] < 0]
 
     def propagate(v: int, c: int, trail: list[int]) -> bool:
         stack = [(v, c)]
@@ -258,22 +254,22 @@ def two_coloring(hg: Hypergraph) -> TwoColoring | None:
                 continue
             labels[v] = c
             trail.append(v)
+            other = 1 - c
+            # each edge at v holds c: unless it holds `other`, its one open vertex is forced
             for idx in incidence[v]:
-                edge = edges[idx]
-                unassigned = -1
-                seen = set()
-                for u in edge:
-                    if labels[u] < 0:
-                        if unassigned >= 0:
-                            unassigned = -2  # two or more open, nothing to do
-                            break
-                        unassigned = u
-                    else:
-                        seen.add(labels[u])
-                if unassigned == -1 and len(seen) == 1:
-                    return False  # monochromatic edge
-                if unassigned >= 0 and len(seen) == 1:
-                    stack.append((unassigned, 1 - seen.pop()))
+                open_vertex = None
+                for u in edges[idx]:
+                    label = labels[u]
+                    if label == other:
+                        break
+                    if label < 0:
+                        if open_vertex is not None:
+                            break  # two open vertices, nothing forced yet
+                        open_vertex = u
+                else:
+                    if open_vertex is None:
+                        return False  # monochromatic edge
+                    stack.append((open_vertex, other))
         return True
 
     decisions: list[tuple[int, int, list[int]]] = []  # (position in order, label, trail)

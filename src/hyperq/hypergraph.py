@@ -49,7 +49,7 @@ class Hypergraph:
     Raises
     ------
     ArgumentRangeError
-        If r < 2 or n < 0.
+        If r < 2, n < 0 or n >= 2**60.
     EdgeArityError
         If an edge does not have exactly r distinct vertices.
     VertexOutOfRangeError
@@ -67,6 +67,9 @@ class Hypergraph:
             raise ArgumentRangeError(f"uniformity must be >= 2, got {r}")
         if n < 0:
             raise ArgumentRangeError(f"vertex count must be >= 0, got {n}")
+        if n >= 2**60:
+            # numpy cannot describe a float64 array of 2**60 or more entries (2**63 bytes)
+            raise ArgumentRangeError(f"vertex count must be < 2**60, got {n}")
         array = _canonical_edges(r, n, edges)
         array.flags.writeable = False
         object.__setattr__(self, "r", r)
@@ -369,11 +372,7 @@ def parse(text: str) -> Hypergraph:
     remaining line must read "r n m"; exactly m edge lines with r vertex
     ids each must follow.
     """
-    rows = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            rows.append(stripped)
+    rows = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
     if not rows:
         raise FormatError("empty input: missing header line")
     header = rows[0].split()

@@ -18,7 +18,7 @@ the largest radius wins.
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
 import numpy as np
@@ -89,17 +89,22 @@ def _adjacency(edges: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _apply(hg: Hypergraph, x: np.ndarray, operator: str) -> np.ndarray:
+    """The operator's action on weights x that _check_weights has passed."""
+    y = _adjacency(hg.edge_array, hg.n, x)
+    if operator == SIGNLESS_LAPLACIAN:
+        y += np.bincount(hg.edge_array.ravel(), minlength=hg.n) * x ** (hg.r - 1)
+    return y
+
+
 def apply_adjacency(hg: Hypergraph, x) -> np.ndarray:
     """Adjacency tensor action on x."""
-    x = _check_weights(hg, x)
-    return _adjacency(hg.edge_array, hg.n, x)
+    return _apply(hg, _check_weights(hg, x), ADJACENCY)
 
 
 def apply_signless_laplacian(hg: Hypergraph, x) -> np.ndarray:
     """Signless Laplacian action: degree diagonal plus adjacency."""
-    x = _check_weights(hg, x)
-    deg = np.array(hg.degrees(), dtype=np.float64)
-    return deg * x ** (hg.r - 1) + _adjacency(hg.edge_array, hg.n, x)
+    return _apply(hg, _check_weights(hg, x), SIGNLESS_LAPLACIAN)
 
 
 def rayleigh_q(hg: Hypergraph, x) -> float:
@@ -126,47 +131,40 @@ def eigen_residual(hg: Hypergraph, rho: float, x, operator: str = SIGNLESS_LAPLA
     if operator not in OPERATORS:
         raise ArgumentRangeError(f"unknown operator {operator!r}")
     x = _check_weights(hg, x)
-    apply = apply_adjacency if operator == ADJACENCY else apply_signless_laplacian
-    return float(np.max(np.abs(apply(hg, x) - rho * x ** (hg.r - 1)))) if hg.n else 0.0
+    return float(np.max(np.abs(_apply(hg, x, operator) - rho * x ** (hg.r - 1)))) if hg.n else 0.0
 
 
-def _component_iterate(edges, n, r, operator, tol, max_iter):
+def _component_iterate(edges, n, r, operator, tol, max_iter) -> SpectralResult:
     """Bracketed power iteration on one connected, edge-bearing piece.
 
     The adjacency operator is iterated as A + I, whose positive diagonal
     keeps the plain iteration from cycling, and the shift is taken off
     the bracket; the signless Laplacian already has a positive diagonal.
     """
-    shift = 1.0 if operator == ADJACENCY else 0.0
-    deg = np.bincount(edges.ravel(), minlength=n).astype(np.float64)
+    if operator == ADJACENCY:
+        shift, diag = 1.0, np.ones(n)
+    else:
+        shift, diag = 0.0, np.bincount(edges.ravel(), minlength=n).astype(np.float64)
     x = np.full(n, n ** (-1.0 / r))
     history = []
-    converged = False
-    iterations = 0
-    lower = upper = 0.0
-    y = x
     for iterations in range(1, max_iter + 1):
+        xp = x ** (r - 1)
         y = _adjacency(edges, n, x)
-        if operator == SIGNLESS_LAPLACIAN:
-            y += deg * x ** (r - 1)
-        if shift:
-            y += shift * x ** (r - 1)
-        ratios = y / x ** (r - 1)
+        y += diag * xp
+        ratios = y / xp
         lower = float(ratios.min()) - shift
         upper = float(ratios.max()) - shift
         history.append((lower, upper))
-        if upper - lower <= tol * max(upper, 1.0):
-            converged = True
-            break
-        if iterations == max_iter:
-            break  # keep x consistent with the last y
+        converged = upper - lower <= tol * max(upper, 1.0)
+        if converged or iterations == max_iter:
+            break  # x stays the iterate that y and the bracket belong to
         x = y ** (1.0 / (r - 1))
         x /= np.sum(x**r) ** (1.0 / r)
     # Rayleigh estimate at the final iterate; x has unit r-norm, so the
     # estimate is a convex combination of the ratios and lies in the bracket
     rho = float(np.clip(float(np.dot(x, y)) - shift, lower, upper))
-    residual = float(np.max(np.abs(y - shift * x ** (r - 1) - rho * x ** (r - 1))))
-    return rho, lower, upper, x, iterations, residual, converged, tuple(history)
+    residual = float(np.max(np.abs(y - shift * xp - rho * xp)))
+    return SpectralResult(rho, lower, upper, x, iterations, residual, converged, tuple(history))
 
 
 def spectral_radius(
@@ -210,22 +208,21 @@ def spectral_radius(
         grouped = rank[hg.edge_array[np.argsort(edge_label, kind="stable")]]
         ends = np.cumsum(np.bincount(edge_label, minlength=len(comps))).tolist()
 
-    best = None  # (rho, component index, per-component result, vertex list)
-    total_iterations = 0
-    all_converged = True
-    for ci, (comp, start, stop) in enumerate(zip(comps, [0] + ends, ends)):
-        if start == stop:
-            continue
-        res = _component_iterate(grouped[start:stop], len(comp), hg.r, operator, tol, max_iter)
-        total_iterations += res[4]
-        all_converged = all_converged and res[6]
-        if best is None or res[0] > best[0]:
-            best = (res[0], ci, res, comp)
-
-    rho, lower, upper, x, _, residual, _, history = best[2]
+    solved = [
+        (comp, _component_iterate(grouped[start:stop], len(comp), hg.r, operator, tol, max_iter))
+        for comp, start, stop in zip(comps, [0] + ends, ends)
+        if start < stop
+    ]
+    # max keeps the first of equal radii
+    comp, best = max(solved, key=lambda item: item[1].rho)
     vec = np.zeros(hg.n)
-    vec[best[3]] = x
-    return SpectralResult(rho, lower, upper, vec, total_iterations, residual, all_converged, history)
+    vec[comp] = best.eigenvector
+    return replace(
+        best,
+        eigenvector=vec,
+        iterations=sum(res.iterations for _, res in solved),
+        converged=all(res.converged for _, res in solved),
+    )
 
 
 def _golden_max(f, lo: float, hi: float, budget: int = 200) -> tuple[float, float]:

@@ -133,6 +133,13 @@ class TestSpectral:
         res = invoke(runner, "spectral", str(path))
         assert res.exit_code == 3
 
+    def test_huge_vertex_count_exit_3(self, runner, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text("3 4611686018427387904 0\n")
+        res = invoke(runner, "spectral", str(path))
+        assert res.exit_code == 3
+        assert res.stderr.count("\n") == 1 and "vertex count" in res.stderr
+
     def test_bad_operator_exit_2(self, runner, tmp_path):
         path = tmp_path / "edge.txt"
         path.write_text("3 3 1\n0 1 2\n")

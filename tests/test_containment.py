@@ -15,7 +15,14 @@ from hyperq.containment import (
     two_coloring,
 )
 from hyperq.errors import UniformityMismatchError
-from hyperq.hypergraph import Hypergraph, build_bn, build_complete, build_fano, build_two_part_complete
+from hyperq.hypergraph import (
+    Hypergraph,
+    TwoColoring,
+    build_bn,
+    build_complete,
+    build_fano,
+    build_two_part_complete,
+)
 
 from conftest import hypergraphs
 
@@ -35,6 +42,69 @@ def brute_force_two_colorable(hg):
         if all(len({labels[v] for v in e}) > 1 for e in hg.edges):
             return True
     return False
+
+
+def reference_two_coloring(hg: Hypergraph) -> TwoColoring | None:
+    """`two_coloring` as it was before its propagation scanned each edge
+    once: the reference for the labels it returns."""
+    n = hg.n
+    edges, incidence = hg.edges, hg.incidence
+    labels = [-1] * n
+    for v in range(n):
+        if not incidence[v]:
+            labels[v] = 0
+    order = [v for v in sorted(range(n), key=lambda v: (-len(incidence[v]), v)) if labels[v] < 0]
+
+    def propagate(v: int, c: int, trail: list[int]) -> bool:
+        stack = [(v, c)]
+        while stack:
+            v, c = stack.pop()
+            if labels[v] >= 0:
+                if labels[v] != c:
+                    return False
+                continue
+            labels[v] = c
+            trail.append(v)
+            for idx in incidence[v]:
+                edge = edges[idx]
+                unassigned = -1
+                seen = set()
+                for u in edge:
+                    if labels[u] < 0:
+                        if unassigned >= 0:
+                            unassigned = -2  # two or more open, nothing to do
+                            break
+                        unassigned = u
+                    else:
+                        seen.add(labels[u])
+                if unassigned == -1 and len(seen) == 1:
+                    return False  # monochromatic edge
+                if unassigned >= 0 and len(seen) == 1:
+                    stack.append((unassigned, 1 - seen.pop()))
+        return True
+
+    decisions: list[tuple[int, int, list[int]]] = []  # (position in order, label, trail)
+    i, c = 0, 0
+    while True:
+        while i < len(order) and labels[order[i]] >= 0:
+            i += 1
+        if i == len(order):
+            return TwoColoring.from_assignment(labels)
+        trail: list[int] = []
+        if propagate(order[i], c, trail):
+            decisions.append((i, c, trail))
+            i, c = i + 1, 0
+            continue
+        # undo back to a decision that can switch to label 1 (the first one never does)
+        while True:
+            for u in trail:
+                labels[u] = -1
+            if c == 0 and decisions:
+                c = 1
+                break
+            if not decisions:
+                return None
+            i, c, trail = decisions.pop()
 
 
 def reference_embeddings(
@@ -175,6 +245,15 @@ def hosts_around(draw, pattern, max_n):
         image = draw(st.permutations(range(n)))
         edges |= {tuple(sorted(image[v] for v in f)) for f in pattern.edges}
     return Hypergraph(pattern.r, n, edges)
+
+
+@st.composite
+def coloring_hosts(draw):
+    """An r-graph for r = 2..5 on up to 2r+3 vertices, often with isolated
+    vertices; half of them hold a copy of the complete r-graph on 2r-1
+    vertices, which no 2-coloring makes free of monochromatic edges."""
+    r = draw(st.sampled_from((2, 3, 4, 5)))
+    return draw(hosts_around(build_complete(2 * r - 1, r), 2 * r + 3))
 
 
 class TestEmbeddingType:
@@ -410,6 +489,12 @@ class TestTwoColoring:
         assert (coloring is not None) == brute_force_two_colorable(hg)
         if coloring is not None:
             assert coloring.is_proper_for(hg)
+
+    @given(coloring_hosts() | hypergraphs(max_n=10, rs=(2, 3, 4, 5), max_m=30))
+    @example(Hypergraph(3, 9, [(v + 2, w + 2, u + 2) for v, w, u in build_fano().edges]))
+    @settings(max_examples=200, deadline=None)
+    def test_same_coloring_as_reference(self, hg):
+        assert two_coloring(hg) == reference_two_coloring(hg)
 
     @given(hypergraphs(max_n=8, rs=(3,), max_m=10), st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)

@@ -75,6 +75,12 @@ class TestConstruction:
         with pytest.raises(ArgumentRangeError):
             Hypergraph(3, -1, [])
 
+    def test_vertex_count_beyond_float64_arrays(self):
+        # an n-element float64 array needs 8n bytes, past numpy's limit from 2**60 on
+        with pytest.raises(ArgumentRangeError, match="2\\*\\*60"):
+            Hypergraph(3, 2**60, [])
+        assert Hypergraph(3, 2**60 - 1, []).n == 2**60 - 1
+
     def test_immutable(self):
         hg = Hypergraph(3, 3, [(0, 1, 2)])
         with pytest.raises(AttributeError):

@@ -411,6 +411,13 @@ def test_disconnected_result_is_best_component(hg):
     assert np.count_nonzero(res.eigenvector) == np.count_nonzero(best.eigenvector)
 
 
+@given(connected_hypergraphs() | disjoint_unions(), st.sampled_from((1, 3, 100_000)))
+@settings(max_examples=150, deadline=None)
+def test_residual_is_eigen_residual_at_result(hg, max_iter):
+    res = spectral_radius(hg, max_iter=max_iter)
+    assert eigen_residual(hg, res.rho, res.eigenvector) == res.residual
+
+
 @pytest.mark.parametrize("operator", [SIGNLESS_LAPLACIAN, ADJACENCY])
 def test_one_component_matches_grouped_path(operator):
     # the loose 3-path iterates on its edge array as it is; an extra isolated

@@ -1,10 +1,11 @@
 """Record alternating parent/change benchmark runs in one JSON file.
 
-    python3 tools/bench_record.py --parent DIR --change DIR --out BENCH_<n>.json \
-        --runs fano-search:10 --runs bn-cli:4
+    python3 tools/bench_record.py --parent DIR --change DIR --out BENCH_<n>.json
 
-DIR is a checkout.  Pair i of a workload runs seed i + 1 on both sides, the
-parent first on even i and the change first on odd i; each run is
+DIR is a checkout.  Every workload that the change's BENCHMARK.json lists
+gets 10 pairs of runs, enough to tell whether the change wins nine in ten.
+Pair i of a workload runs seed i + 1 on both sides, the parent first on even
+i and the change first on odd i; each run is
 `python3 perfbench/run.py` from that checkout, unchanged, for the
 `run_seconds` that BENCHMARK.json sets, and its exit code and last JSON line
 are kept.  A pair in which either run exited non-zero, was not correct or
@@ -23,6 +24,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+PAIRS = 10
 
 
 def _run(cwd: Path, argv: list[str]) -> tuple[float, int, str]:
@@ -85,7 +88,6 @@ def main(argv=None) -> int:
     p.add_argument("--parent", type=Path, required=True)
     p.add_argument("--change", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--runs", action="append", required=True, help="WORKLOAD:PAIRS")
     args = p.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
@@ -98,9 +100,8 @@ def main(argv=None) -> int:
         record["summary"] = _summary(record["runs"], better)
         args.out.write_text(json.dumps(record, indent=1) + "\n")
 
-    for item in args.runs:
-        workload, pairs = item.split(":")
-        for i in range(int(pairs)):
+    for workload in (w["name"] for w in spec["workloads"]):
+        for i in range(PAIRS):
             seed = i + 1
             order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
             for side in order:
