@@ -249,8 +249,6 @@ def two_coloring(hg: Hypergraph) -> TwoColoring | None:
         while stack:
             v, c = stack.pop()
             if labels[v] >= 0:
-                if labels[v] != c:
-                    return False
                 continue
             labels[v] = c
             trail.append(v)

@@ -10,7 +10,7 @@ immutable after construction and safe to share between threads.
 import math
 import random
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -60,8 +60,6 @@ class Hypergraph:
         order, checking arity, then range, then equality to an earlier edge.
     """
 
-    __slots__ = ("r", "n", "edge_array", "_edges", "_incidence")
-
     def __init__(self, r: int, n: int, edges: Iterable[Iterable[int]]):
         if r < 2:
             raise ArgumentRangeError(f"uniformity must be >= 2, got {r}")
@@ -75,33 +73,27 @@ class Hypergraph:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edge_array", array)
-        object.__setattr__(self, "_edges", None)
-        object.__setattr__(self, "_incidence", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Hypergraph is immutable")
 
-    @property
+    def __reduce__(self):
+        # copies and pickles go through the constructor, which makes their edge array read-only
+        return Hypergraph, (self.r, self.n, self.edge_array)
+
+    @cached_property
     def edges(self) -> tuple[Edge, ...]:
         """The edges as lexicographically sorted int tuples (built on first use)."""
-        edges = self._edges
-        if edges is None:
-            edges = tuple(zip(*self.edge_array.T.tolist()))
-            object.__setattr__(self, "_edges", edges)
-        return edges
+        return tuple(zip(*self.edge_array.T.tolist()))
 
-    @property
+    @cached_property
     def incidence(self) -> tuple[tuple[int, ...], ...]:
         """Per-vertex tuple of incident edge indices (built on first use)."""
-        inc = self._incidence
-        if inc is None:
-            lists: list[list[int]] = [[] for _ in range(self.n)]
-            for idx, e in enumerate(zip(*self.edge_array.T.tolist())):
-                for v in e:
-                    lists[v].append(idx)
-            inc = tuple(tuple(ix) for ix in lists)
-            object.__setattr__(self, "_incidence", inc)
-        return inc
+        lists: list[list[int]] = [[] for _ in range(self.n)]
+        for idx, e in enumerate(zip(*self.edge_array.T.tolist())):
+            for v in e:
+                lists[v].append(idx)
+        return tuple(tuple(ix) for ix in lists)
 
     @property
     def m(self) -> int:

@@ -7,7 +7,7 @@ no timestamps or environment data, so identical runs give identical bytes.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import ArgumentRangeError
 
@@ -25,14 +25,9 @@ class Record:
     passed: bool | None
 
     def as_dict(self) -> dict:
-        return {
-            "op": self.op,
-            "n": self.n,
-            "inputs": self.inputs,
-            "value": self.value,
-            "bound": self.bound,
-            "pass": self.passed,
-        }
+        record = asdict(self)
+        record["pass"] = record.pop("passed")
+        return record
 
 
 def _cell(value) -> str:

@@ -40,6 +40,7 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_STEPS = 200  # before _golden_max gives up; they narrow the bracket about 1e42-fold
 
 
 @dataclass(eq=False)
@@ -225,12 +226,12 @@ def spectral_radius(
     )
 
 
-def _golden_max(f, lo: float, hi: float, budget: int = 200) -> tuple[float, float]:
+def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
     """Golden-section maximum of a 1-D concave function on [lo, hi]."""
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    for _ in range(budget):
+    for _ in range(_GOLDEN_STEPS):
         if hi - lo <= 1e-13 * max(abs(lo), abs(hi), 1.0):
             mid = 0.5 * (lo + hi)
             return mid, f(mid)
@@ -242,7 +243,7 @@ def _golden_max(f, lo: float, hi: float, budget: int = 200) -> tuple[float, floa
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _INV_PHI * (hi - lo)
             f2 = f(x2)
-    raise NoConvergenceError(f"golden-section bracket still {hi - lo} wide after {budget} iterations")
+    raise NoConvergenceError(f"golden-section bracket still {hi - lo} wide after {_GOLDEN_STEPS} iterations")
 
 
 def rayleigh_maximize_bruteforce(

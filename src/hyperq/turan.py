@@ -170,30 +170,22 @@ def two_block_q(a: int, b: int) -> SplitProfile:
 def scan_splits(n: int) -> tuple[list[SplitProfile], int]:
     """Two-block optimum for every split a + b = n; returns the winner.
 
-    Ties go to a = ceil(n/2).  Whether the winner is balanced, as the
-    structural prediction for these objectives says, is left to callers.
+    Ties go to the a nearest ceil(n/2), the smaller one at equal distance.
+    Whether the winner is balanced, as the structural prediction for these
+    objectives says, is left to callers.
     """
     if n < 4:
         raise ArgumentRangeError(f"scan needs n >= 4, got {n}")
     target = (n + 1) // 2
-    profiles = []
-    best = None
-    for a in range(1, n):
-        profile = two_block_q(a, n - a)
-        profiles.append(profile)
-        if (
-            best is None
-            or profile.q_value > best.q_value
-            or (profile.q_value == best.q_value and abs(a - target) < abs(best.a - target))
-        ):
-            best = profile
-    return profiles, best.a
+    profiles = [two_block_q(a, n - a) for a in range(1, n)]
+    # max keeps the first of equal keys: the smaller a at equal distance
+    return profiles, max(profiles, key=lambda p: (p.q_value, -abs(p.a - target))).a
 
 
 def bn_scan_q(n: int) -> float:
     """q(B_n) evaluated through the split scan (best two-block value)."""
     profiles, best_a = scan_splits(n)
-    return next(p.q_value for p in profiles if p.a == best_a)
+    return profiles[best_a - 1].q_value
 
 
 def check_condition1(
@@ -263,7 +255,7 @@ def check_deletion_lemma(
         raise DisconnectedError("deletion check needs a connected hypergraph")
     res = _converged_radius(hg, tol, max_iter)
     x = res.eigenvector
-    w = int(min(range(hg.n), key=lambda i: x[i]))
+    w = int(np.argmin(x))
     t = float(x[w]) ** hg.r
     n, r = hg.n, hg.r
     rhs = (1.0 - r * t) / (1.0 - t) * res.rho - (

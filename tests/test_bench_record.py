@@ -37,3 +37,25 @@ def test_unsound_pairs_are_excluded():
 def test_no_sound_pair_gives_no_metrics():
     runs = [_run(1, "parent", 10.0), _run(1, "change", 20.0, correct=False)]
     assert bench_record._summary(runs, {"throughput_ops_s": "higher"}) == {"w": {"excluded_pairs": 1}}
+
+
+def test_criteria_times_read_from_durations_table():
+    out = (
+        "........ [100%]\n"
+        "============================== slowest durations ===============================\n"
+        "2.60s call     tests/test_acceptance.py::test_criterion_06\n"
+        "0.85s call     tests/test_acceptance.py::test_criterion_10\n"
+        "0.40s call     tests/test_spectral.py::test_disjoint_triples\n"
+        "0.01s setup    tests/test_acceptance.py::test_criterion_01\n"
+        "0.00s call     tests/test_acceptance.py::test_criterion_01\n"
+        "441 passed in 30.74s\n"
+    )
+    assert bench_record.criteria_times(out) == {
+        "test_criterion_06": 2.60,
+        "test_criterion_10": 0.85,
+        "test_criterion_01": 0.0,
+    }
+
+
+def test_tier1_run_asks_for_every_duration():
+    assert {"--durations=0", "--durations-min=0"} <= set(bench_record.TIER1)

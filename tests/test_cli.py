@@ -37,6 +37,11 @@ class TestGen:
         assert "r=3 n=8 m=48" in res.output
         assert out.read_text().splitlines()[0] == "3 8 48"
 
+    def test_out_into_missing_directory(self, runner, tmp_path):
+        res = invoke(runner, "gen", "fano", "--out", str(tmp_path / "missing" / "fano.txt"))
+        assert res.exit_code == 3
+        assert "cannot write" in res.output
+
     def test_complete(self, runner):
         res = invoke(runner, "gen", "complete", "4", "3")
         assert res.exit_code == 0

@@ -264,6 +264,12 @@ class TestEmbeddingType:
         host = build_complete(7, 3)
         assert not Embedding((0, 0, 1, 2, 3, 4, 5)).is_valid_for(host, fano)
 
+    def test_short_mapping(self, fano):
+        assert not Embedding(tuple(range(6))).is_valid_for(build_complete(7, 3), fano)
+
+    def test_image_out_of_range(self, fano):
+        assert not Embedding((0, 1, 2, 3, 4, 5, 7)).is_valid_for(build_complete(7, 3), fano)
+
     def test_edge_not_preserved(self, fano, k4):
         single = Hypergraph(3, 3, [(0, 1, 2)])
         host = Hypergraph(3, 4, [(0, 1, 2)])

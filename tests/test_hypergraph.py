@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import time
 from itertools import combinations
 
@@ -86,6 +88,29 @@ class TestConstruction:
         with pytest.raises(AttributeError):
             hg.n = 5
 
+    def test_views_cannot_be_assigned(self):
+        hg = Hypergraph(3, 3, [(0, 1, 2)])
+        with pytest.raises(AttributeError):
+            hg.edges = ()
+        with pytest.raises(AttributeError):
+            hg.incidence = ()
+        assert hg.edges == ((0, 1, 2),)
+
+    def test_views_built_once(self):
+        hg = Hypergraph(3, 4, [(0, 1, 2), (1, 2, 3)])
+        assert hg.edges is hg.edges
+        assert hg.incidence is hg.incidence
+
+    def test_copies_stay_immutable(self, fano):
+        for twin in (pickle.loads(pickle.dumps(fano)), copy.copy(fano), copy.deepcopy(fano)):
+            assert twin == fano
+            assert not twin.edge_array.flags.writeable
+
+    def test_not_equal_to_other_types(self):
+        hg = Hypergraph(3, 3, [(0, 1, 2)])
+        assert not hg == 3
+        assert hg != 3
+
     def test_equality_ignores_input_order(self):
         a = Hypergraph(3, 4, [(0, 1, 2), (1, 2, 3)])
         b = Hypergraph(3, 4, [(3, 2, 1), (2, 1, 0)])
@@ -118,6 +143,10 @@ class TestComplete:
     def test_degrees(self):
         hg = build_complete(4, 3)
         assert hg.degrees() == [3, 3, 3, 3]
+
+    def test_r_below_2(self):
+        with pytest.raises(ArgumentRangeError):
+            build_complete(5, 1)
 
     def test_n_below_r(self):
         with pytest.raises(ArgumentRangeError):
@@ -219,6 +248,10 @@ class TestExpansion:
         hg = build_expansion([(0, 1), (0, 2)], 3, 4)
         fresh = [set(e) - {0, 1, 2} for e in hg.edges]
         assert fresh[0] & fresh[1] == set()
+
+    def test_r_below_2(self):
+        with pytest.raises(ArgumentRangeError):
+            build_expansion([(0, 1)], 2, 1)
 
     def test_duplicate_base_edge(self):
         with pytest.raises(DuplicateEdgeError):
@@ -354,6 +387,10 @@ class TestTextFormat:
         with pytest.raises(FormatError):
             parse("three 3 1\n0 1 2\n")
 
+    def test_negative_edge_count(self):
+        with pytest.raises(FormatError, match="negative edge count -1"):
+            parse("3 5 -1\n")
+
     def test_constructor_errors_propagate(self):
         with pytest.raises(VertexOutOfRangeError):
             parse("3 3 1\n0 1 5\n")
@@ -394,6 +431,15 @@ class TestRandomConnected:
     def test_infeasible_edge_count(self):
         with pytest.raises(ArgumentRangeError):
             random_connected(9, 3, 2, rng=0)
+
+    def test_n_below_r(self):
+        with pytest.raises(ArgumentRangeError):
+            random_connected(2, 3, 1)
+
+    def test_more_edges_than_triples(self):
+        # C(5, 3) = 10
+        with pytest.raises(ArgumentRangeError):
+            random_connected(5, 3, 11)
 
     def test_draws_pinned(self):
         # the fourth draw is the first connected one

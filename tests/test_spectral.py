@@ -9,6 +9,7 @@ from hyperq.errors import (
     ArgumentRangeError,
     DimensionMismatchError,
     NegativeEntryError,
+    NoConvergenceError,
     NotNormalizedError,
 )
 from hyperq.hypergraph import Hypergraph, build_bn, build_complete, random_connected
@@ -22,6 +23,7 @@ from hyperq.spectral import (
     rayleigh_maximize_bruteforce,
     spectral_radius,
     _adjacency,
+    _golden_max,
 )
 
 from conftest import connected_hypergraphs, hypergraphs
@@ -69,6 +71,10 @@ class TestApplyAdjacency:
     def test_dimension_mismatch(self, fano):
         with pytest.raises(DimensionMismatchError):
             apply_adjacency(fano, np.ones(6))
+
+    def test_nan_weight(self, fano):
+        with pytest.raises(ArgumentRangeError):
+            apply_adjacency(fano, [1.0, 1.0, 1.0, math.nan, 1.0, 1.0, 1.0])
 
     @given(connected_hypergraphs())
     @settings(max_examples=40, deadline=None)
@@ -142,6 +148,9 @@ class TestRayleighQ:
     def test_b8_uniform(self, b8):
         hg, _ = b8
         assert rayleigh_q(hg, uniform_unit(8, 3)) == pytest.approx(36.0)
+
+    def test_edgeless_is_zero(self):
+        assert rayleigh_q(Hypergraph(3, 4, []), uniform_unit(4, 3)) == 0.0
 
     def test_not_normalized(self, k4):
         with pytest.raises(NotNormalizedError):
@@ -269,6 +278,12 @@ class TestSpectralRadius:
                 x = rng.uniform(0.0, 1.0, size=hg.n) + 1e-3
                 x /= np.sum(x**hg.r) ** (1.0 / hg.r)
                 assert rayleigh_q(hg, x) <= up + 1e-8
+
+
+def test_golden_max_gives_up_on_a_wide_bracket():
+    # the maximum of -t sits at 0, about 1e313 relative tolerances below 1e300
+    with pytest.raises(NoConvergenceError, match="after 200 iterations"):
+        _golden_max(lambda t: -t, 0.0, 1e300)
 
 
 def dense_power_iteration(mat, steps=20000, tol=1e-13):

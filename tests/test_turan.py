@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperq import turan
 from hyperq.errors import ArgumentRangeError, DisconnectedError, NoConvergenceError, TooSmallError
 from hyperq.hypergraph import Hypergraph, build_bn, build_complete, build_two_part_complete, random_connected
 from hyperq.spectral import spectral_radius
@@ -20,6 +21,7 @@ from hyperq.turan import (
     scan_splits,
     two_block_q,
     verify_extremality,
+    _random_colorable,
 )
 
 
@@ -122,6 +124,24 @@ class TestTwoBlockQ:
             assert two_block_q(a, n - a).q_value == pytest.approx(rho, rel=1e-6)
 
 
+def reference_scan_splits(n: int) -> tuple[list[SplitProfile], int]:
+    """The split scan as an explicit loop: a strictly larger q wins, and an
+    equal q wins only when its a is strictly nearer ceil(n/2)."""
+    target = (n + 1) // 2
+    profiles = []
+    best = None
+    for a in range(1, n):
+        profile = turan.two_block_q(a, n - a)
+        profiles.append(profile)
+        if (
+            best is None
+            or profile.q_value > best.q_value
+            or (profile.q_value == best.q_value and abs(a - target) < abs(best.a - target))
+        ):
+            best = profile
+    return profiles, best.a
+
+
 class TestScanSplits:
     def test_n8(self):
         profiles, best_a = scan_splits(8)
@@ -141,6 +161,26 @@ class TestScanSplits:
     def test_too_small(self):
         with pytest.raises(ArgumentRangeError):
             scan_splits(3)
+
+    @pytest.mark.parametrize("n", [4, 5, 9, 16, 31, 60])
+    def test_matches_reference_loop(self, n):
+        assert scan_splits(n) == reference_scan_splits(n)
+
+    @given(n=st.integers(min_value=4, max_value=16), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_ties_match_reference_loop(self, n, data):
+        # q values from a three-element set, so most scans hold ties
+        qs = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=n - 1, max_size=n - 1))
+
+        def tied_profile(a, b):
+            w = 1.0 / (a + b)
+            return SplitProfile(a + b, a, b, w, w, qs[a - 1], w ** (1 / 3), w ** (1 / 3))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(turan, "two_block_q", tied_profile)
+            profiles, best_a = scan_splits(n)
+            assert (profiles, best_a) == reference_scan_splits(n)
+            assert bn_scan_q(n) == max(qs)
 
     @pytest.mark.parametrize("n", [10, 13, 21])
     def test_split_cap(self, n):
@@ -174,6 +214,10 @@ class TestCriterionParams:
     def test_density_must_exceed_half(self):
         with pytest.raises(ArgumentRangeError):
             CriterionParams(0.5, 3, 0.01, (50, 60))
+
+    def test_uniformity_at_least_2(self):
+        with pytest.raises(ArgumentRangeError):
+            CriterionParams(0.75, 1, 0.05, (4, 5))
 
     def test_sigma_positive(self):
         with pytest.raises(ArgumentRangeError):
@@ -311,6 +355,30 @@ class TestVerifyExtremality:
             verify_extremality(6)
         with pytest.raises(ArgumentRangeError):
             verify_extremality(8, samples=0)
+
+
+class _KeepEveryEdge:
+    """A stand-in rng under which _random_colorable draws the balanced split
+    and keeps all of its edges."""
+
+    def randint(self, lo, hi):
+        return (lo + hi + 1) // 2
+
+    def uniform(self, lo, hi):
+        return hi
+
+    def random(self):
+        return 0.0
+
+    def randrange(self, stop):
+        return 0
+
+
+def test_random_colorable_never_returns_bn():
+    bn, _ = build_bn(8)
+    hg = _random_colorable(_KeepEveryEdge(), 8)
+    assert hg.m == bn.m - 1 == 47
+    assert hg == Hypergraph(3, 8, bn.edges[1:])
 
 
 @pytest.mark.parametrize("n", range(7, 13))

@@ -11,7 +11,8 @@ i and the change first on odd i; each run is
 are kept.  A pair in which either run exited non-zero, was not correct or
 failed a query is left out of the summary and counted as excluded.  Then one
 `--trace 1` run per side and workload, and one tier-1 `pytest -q` per side,
-timed from outside.  The file is rewritten after every run, so an
+timed from outside, with each acceptance criterion's call time read off
+pytest's `--durations` table.  The file is rewritten after every run, so an
 interrupted recording keeps what it measured.  Stdlib only.
 """
 
@@ -19,6 +20,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -26,18 +28,27 @@ import time
 from pathlib import Path
 
 PAIRS = 10
+TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors", "--durations=0", "--durations-min=0"]
+# a call line of pytest's durations table for one acceptance criterion
+_CRITERION = re.compile(r"^([0-9.]+)s call\s+tests/test_acceptance\.py::(test_criterion_\d+)$", re.MULTILINE)
 
 
-def _run(cwd: Path, argv: list[str]) -> tuple[float, int, str]:
+def _run(cwd: Path, argv: list[str]) -> tuple[float, int, str, str]:
+    """Wall time, exit code, stdout, and the last stdout line (or stderr's tail)."""
     t0 = time.perf_counter()
     done = subprocess.run(argv, cwd=cwd, capture_output=True, text=True)
     last = done.stdout.strip().splitlines()[-1] if done.stdout.strip() else done.stderr[-500:]
-    return time.perf_counter() - t0, done.returncode, last
+    return time.perf_counter() - t0, done.returncode, done.stdout, last
+
+
+def criteria_times(pytest_stdout: str) -> dict[str, float]:
+    """Call time in seconds of each acceptance criterion in a `--durations` table."""
+    return {name: float(secs) for secs, name in _CRITERION.findall(pytest_stdout)}
 
 
 def _bench(cwd: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
-    _, code, last = _run(cwd, argv + ["--trace", str(trace)])
+    _, code, _, last = _run(cwd, argv + ["--trace", str(trace)])
     try:
         result = json.loads(last)
     except json.JSONDecodeError:
@@ -113,8 +124,8 @@ def main(argv=None) -> int:
             record["traces"].append({"workload": workload, "seed": 1, "side": side, **run})
             save()
     for side, cwd in sides.items():
-        wall, code, last = _run(cwd, [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"])
-        record["tier1"][side] = {"wall_s": wall, "returncode": code, "last_line": last}
+        wall, code, out, last = _run(cwd, [sys.executable, *TIER1])
+        record["tier1"][side] = {"wall_s": wall, "returncode": code, "last_line": last, "criteria_s": criteria_times(out)}
         save()
     return 0
 
