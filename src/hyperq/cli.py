@@ -14,7 +14,7 @@ from pathlib import Path
 import click
 
 from .containment import contains_subgraph, two_coloring
-from .errors import ArgumentRangeError, HyperqError, NoConvergenceError
+from .errors import ArgumentRangeError, HyperqError, NoConvergenceError, TooSmallError
 from .hypergraph import (
     Hypergraph,
     build_bn,
@@ -190,7 +190,10 @@ def gen_expansion(base_file, r, out):
 def cmd_spectral(ctx, input_path, operator, tol, max_iter, fmt, with_vector, out):
     """Tensor spectral radius of the hypergraph in FILE."""
     hg = _read_hypergraph(input_path)
-    res = spectral_radius(hg, _OPERATORS[operator], tol=tol, max_iter=max_iter)
+    try:
+        res = spectral_radius(hg, _OPERATORS[operator], tol=tol, max_iter=max_iter)
+    except ArgumentRangeError as exc:
+        raise click.UsageError(str(exc)) from None
     report = {
         "operator": _OPERATORS[operator],
         "rho": res.rho,
@@ -284,7 +287,7 @@ def cmd_verify(ctx, what, n_range, sigma, samples, seed, tol, max_iter, fmt, out
         elif what == "splits":
             for n in range(lo, hi + 1):
                 profiles, best_a = scan_splits(n)
-                best_q = max(p.q_value for p in profiles)
+                best_q = profiles[best_a - 1].q_value
                 ok = abs(best_a - n / 2.0) <= 0.5
                 records.append(Record("splits", n, f"a=1..{n - 1}", best_q, f"best_a={best_a}", ok))
         elif what == "criterion":
@@ -305,7 +308,7 @@ def cmd_verify(ctx, what, n_range, sigma, samples, seed, tol, max_iter, fmt, out
                 records.append(
                     Record("extremal", n, f"samples={samples} seed={seed}", rep.max_q, rep.q_reference, rep.passed)
                 )
-    except ArgumentRangeError as exc:
+    except (ArgumentRangeError, TooSmallError) as exc:
         raise click.UsageError(str(exc)) from None
     except NoConvergenceError as exc:
         raise _Fail(str(exc), 4) from None

@@ -178,9 +178,8 @@ def _embeddings(
             for col, h in zip(keys, subset):
                 part = col[lo:hi]
                 lo, hi = lo + int(part.searchsorted(h)), lo + int(part.searchsorted(h, "right"))
-            mask = 0
-            for h in completers[offsets[lo] : offsets[hi]].tolist():
-                mask |= 1 << h
+            # a key's completers close distinct edges, so they differ and their sum is their OR
+            mask = sum(1 << h for h in completers[offsets[lo] : offsets[hi]].tolist())
             masks[subset] = mask
         masks[images] = mask
         return mask

@@ -75,18 +75,15 @@ def _check_weights(hg: Hypergraph, x) -> np.ndarray:
 
 def _adjacency(edges: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
     """(A x)_i over an explicit (m, r) edge array."""
-    out = np.zeros(n)
-    m, r = edges.shape
-    if m == 0:
-        return out
-    vals = [x[edges[:, j]] for j in range(r)]
+    out = np.zeros(n)  # a float start: bincount of an empty column counts in int64
+    vals = [x[col] for col in edges.T]
     # leave-one-out product at position j: the product of the values before
     # j, taken left to right, times the product of those after j, taken
     # right to left; 1.0 stands for an empty product, as cumprod ones did
     prefix = [1.0, *accumulate(vals[:-1], operator.mul)]
     suffix = [*accumulate(vals[:0:-1], operator.mul)][::-1] + [1.0]
-    for j in range(r):
-        out += np.bincount(edges[:, j], weights=prefix[j] * suffix[j], minlength=n)
+    for col, before, after in zip(list(edges.T), prefix, suffix):
+        out += np.bincount(col, weights=before * after, minlength=n)
     return out
 
 
@@ -121,8 +118,6 @@ def rayleigh_q(hg: Hypergraph, x) -> float:
     total = float(np.sum(np.abs(x) ** hg.r))
     if abs(total - 1.0) > 1e-9:
         raise NotNormalizedError(f"r-norm^r of weights is {total}, expected 1")
-    if hg.m == 0:
-        return 0.0
     vals = x[hg.edge_array]
     return float(np.sum(vals**hg.r) + hg.r * np.sum(np.prod(vals, axis=1)))
 
@@ -132,7 +127,7 @@ def eigen_residual(hg: Hypergraph, rho: float, x, operator: str = SIGNLESS_LAPLA
     if operator not in OPERATORS:
         raise ArgumentRangeError(f"unknown operator {operator!r}")
     x = _check_weights(hg, x)
-    return float(np.max(np.abs(_apply(hg, x, operator) - rho * x ** (hg.r - 1)))) if hg.n else 0.0
+    return float(np.max(np.abs(_apply(hg, x, operator) - rho * x ** (hg.r - 1)), initial=0.0))
 
 
 def _component_iterate(edges, n, r, operator, tol, max_iter) -> SpectralResult:
@@ -184,8 +179,8 @@ def spectral_radius(
     """
     if operator not in OPERATORS:
         raise ArgumentRangeError(f"unknown operator {operator!r}")
-    if tol <= 0:
-        raise ArgumentRangeError(f"tol must be > 0, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ArgumentRangeError(f"tol must be finite and > 0, got {tol}")
     if max_iter < 1:
         raise ArgumentRangeError(f"max_iter must be >= 1, got {max_iter}")
 
@@ -263,7 +258,7 @@ def rayleigh_maximize_bruteforce(
     if steps < 1:
         raise ArgumentRangeError(f"steps must be >= 1, got {steps}")
     n, r = hg.n, hg.r
-    if n == 0 or hg.m == 0:
+    if hg.m == 0:
         vec = np.full(n, n ** (-1.0 / r)) if n else np.zeros(0)
         return 0.0, vec
     edges = hg.edges
@@ -272,10 +267,7 @@ def rayleigh_maximize_bruteforce(
     best_val = -1.0
     best_y = None
     for start in range(restarts):
-        if start == 0:
-            y = [1.0] * n
-        else:
-            y = [float(t) for t in rng.uniform(0.2, 1.0, size=n)]
+        y = [1.0] * n if start == 0 else rng.uniform(0.2, 1.0, size=n).tolist()
         for _ in range(steps):
             moved = 0.0
             for i in range(n):
@@ -283,18 +275,14 @@ def rayleigh_maximize_bruteforce(
                 s_i = 0.0
                 big_k = 0.0
                 for e in edges:
-                    if i in e:
-                        p = 1.0
-                        for v in e:
-                            if v != i:
-                                p *= y[v]
-                                big_k += y[v] ** r
-                        s_i += p
-                    else:
-                        p = 1.0
-                        for v in e:
+                    p = 1.0
+                    for v in e:
+                        if v != i:
                             p *= y[v]
                             big_k += y[v] ** r
+                    if i in e:
+                        s_i += p
+                    else:
                         big_k += r * p
                 c = sum(y[v] ** r for v in range(n) if v != i)
 
@@ -314,14 +302,7 @@ def rayleigh_maximize_bruteforce(
             y = [t / nrm for t in y]
             if moved < 1e-10:
                 break
-        f_val = 0.0
-        for e in edges:
-            p = 1.0
-            se = 0.0
-            for v in e:
-                p *= y[v]
-                se += y[v] ** r
-            f_val += se + r * p
+        f_val = sum(sum(y[v] ** r for v in e) + r * math.prod(y[v] for v in e) for e in edges)
         val = f_val / sum(t**r for t in y)
         if val > best_val:
             best_val = val

@@ -106,8 +106,8 @@ class CriterionParams:
             raise ArgumentRangeError(f"density must lie in (1/2, 1), got {self.pi}")
         if self.r < 2:
             raise ArgumentRangeError(f"uniformity must be >= 2, got {self.r}")
-        if self.sigma <= 0:
-            raise ArgumentRangeError(f"sigma must be > 0, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise ArgumentRangeError(f"sigma must be finite and > 0, got {self.sigma}")
         lo, hi = self.n_range
         if lo < 2 or hi < lo:
             raise ArgumentRangeError(f"need 2 <= low <= high, got {self.n_range}")

@@ -1,6 +1,7 @@
 """The benchmark recorder's summary counts only sound pairs of runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 _spec = importlib.util.spec_from_file_location(
@@ -59,3 +60,43 @@ def test_criteria_times_read_from_durations_table():
 
 def test_tier1_run_asks_for_every_duration():
     assert {"--durations=0", "--durations-min=0"} <= set(bench_record.TIER1)
+
+
+def _durations(criterion_10_s, criterion_06_s=None):
+    lines = ["........ [100%]", "=== slowest durations ==="]
+    if criterion_06_s is not None:
+        lines.append(f"{criterion_06_s:.2f}s call     tests/test_acceptance.py::test_criterion_06")
+    lines += [f"{criterion_10_s:.2f}s call     tests/test_acceptance.py::test_criterion_10", "469 passed in 30.00s"]
+    return "\n".join(lines) + "\n"
+
+
+def test_tier1_summary_takes_medians_over_runs():
+    outs = [_durations(1.96, 2.60), _durations(2.82), _durations(2.10, 3.40)]
+    runs = [{"wall_s": wall, "criteria_s": bench_record.criteria_times(out)} for wall, out in zip([31.0, 29.0, 40.0], outs)]
+    summary = bench_record.tier1_summary(runs)
+    assert summary["runs"] == runs
+    assert summary["wall_s"] == 31.0
+    # a criterion missing from one run's table is the median of the runs that timed it
+    assert summary["criteria_s"] == {"test_criterion_06": 3.0, "test_criterion_10": 2.10}
+
+
+def test_tier1_runs_alternate_which_side_goes_first(tmp_path, monkeypatch):
+    sides = {side: tmp_path / side for side in ("parent", "change")}
+    for path in sides.values():
+        path.mkdir()
+    spec = '{"run_seconds": 1, "workloads": [], "end_to_end": []}'
+    (sides["change"] / "BENCHMARK.json").write_text(spec)
+    calls = []
+
+    def fake_run(cwd, argv):
+        calls.append(cwd.name)
+        return float(len(calls)), 0, _durations(len(calls) / 10), "469 passed"
+
+    monkeypatch.setattr(bench_record, "_run", fake_run)
+    out = tmp_path / "bench.json"
+    bench_record.main(["--parent", str(sides["parent"]), "--change", str(sides["change"]), "--out", str(out)])
+    assert calls == ["parent", "change", "change", "parent", "parent", "change"]
+    tier1 = json.loads(out.read_text())["tier1"]
+    assert [run["first"] for run in tier1["parent"]["runs"]] == ["parent", "change", "parent"]
+    assert tier1["parent"]["wall_s"] == 4.0  # the parent ran as calls 1, 4 and 5
+    assert tier1["change"]["criteria_s"] == {"test_criterion_10": 0.3}  # calls 2, 3 and 6

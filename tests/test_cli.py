@@ -155,6 +155,17 @@ class TestSpectral:
         path.write_text("3 3 1\n0 1 2\n")
         assert invoke(runner, "spectral", str(path), "--tol", "0").exit_code == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_exit_2(self, runner, tmp_path, tol):
+        # nan ran to --max-iter and exited 4; inf reported convergence after one iteration
+        path = tmp_path / "b9.txt"
+        invoke(runner, "gen", "bn", "9", "--out", str(path))
+        res = invoke(runner, "spectral", str(path), "--tol", tol, "--max-iter", "50")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert f"tol must be finite and > 0, got {tol}" in res.stderr
+        assert invoke(runner, "verify", "bounds", "9", "--tol", tol, "--max-iter", "50").exit_code == 2
+
     def test_bad_max_iter_exit_2(self, runner, tmp_path):
         path = tmp_path / "edge.txt"
         path.write_text("3 3 1\n0 1 2\n")
@@ -262,6 +273,20 @@ class TestVerify:
     def test_criterion_pass_and_fail(self, runner):
         assert invoke(runner, "verify", "criterion", "50:60", "--sigma", "0.05").exit_code == 0
         assert invoke(runner, "verify", "criterion", "100", "--sigma", "1e-9").exit_code == 5
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma_exit_2(self, runner, sigma):
+        # nan failed every record (exit 5) and inf passed every record (exit 0)
+        res = invoke(runner, "verify", "criterion", "50", "--sigma", sigma)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert f"sigma must be finite and > 0, got {sigma}" in res.stderr
+
+    def test_deletion_on_one_edge_is_usage_error(self, runner):
+        # B_3 has one edge; the deletion check's TooSmallError was a traceback (exit 1)
+        res = invoke(runner, "verify", "deletion", "3")
+        assert res.exit_code == 2
+        assert "deletion check needs at least 2 edges, got 1" in res.stderr
 
     def test_deletion(self, runner):
         res = invoke(runner, "verify", "deletion", "7:9", "--format", "csv")

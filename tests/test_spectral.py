@@ -12,7 +12,7 @@ from hyperq.errors import (
     NoConvergenceError,
     NotNormalizedError,
 )
-from hyperq.hypergraph import Hypergraph, build_bn, build_complete, random_connected
+from hyperq.hypergraph import Hypergraph, build_bn, build_complete, build_fano, random_connected
 from hyperq.spectral import (
     ADJACENCY,
     SIGNLESS_LAPLACIAN,
@@ -59,6 +59,14 @@ class TestApplyAdjacency:
 
     def test_fano_ones(self, fano):
         assert np.allclose(apply_adjacency(fano, np.ones(7)), 3.0)
+
+    @pytest.mark.parametrize("n", [5, 0])
+    @pytest.mark.parametrize("apply", [apply_adjacency, apply_signless_laplacian])
+    def test_edgeless_result_is_float64(self, apply, n):
+        # int64 and float64 zeros have equal bytes, so only the dtype shows a lost float start
+        got = apply(Hypergraph(3, n, []), np.ones(n))
+        assert got.dtype == np.float64
+        assert got.tolist() == [0.0] * n
 
     def test_r2_is_matrix_product(self):
         hg = Hypergraph(2, 4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
@@ -238,6 +246,12 @@ class TestSpectralRadius:
         assert coarse.lower <= full.rho <= coarse.upper
         assert coarse.lower <= coarse.rho <= coarse.upper
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tol_rejected(self, k4, tol):
+        # a nan tol never converged and an inf one converged after one iteration
+        with pytest.raises(ArgumentRangeError, match="finite"):
+            spectral_radius(k4, tol=tol, max_iter=50)
+
     def test_argument_validation(self, k4):
         with pytest.raises(ArgumentRangeError):
             spectral_radius(k4, tol=0.0)
@@ -343,6 +357,24 @@ class TestEigenResidual:
             eigen_residual(k4, 3.0, uniform_unit(4, 3), operator="spectral")
 
 
+# hosts with the seed whose winning start is random for Fano, K_5^3 and the
+# 4-graph, and the all-ones start for the 3-graph
+BRUTEFORCE_HOSTS = {
+    "fano": (build_fano(), 2),
+    "k5_3": (build_complete(5, 3), 1),
+    "random_8_3_14": (random_connected(8, 3, 14, rng=3), 2),
+    "random_7_4_9": (random_connected(7, 4, 9, rng=5), 0),
+}
+# rayleigh_maximize_bruteforce's value and vector bytes on BRUTEFORCE_HOSTS,
+# recorded before its edge scans were merged into one loop
+BRUTEFORCE_BYTES = {
+    'fano': (6.000000000000001, '7e4baee26ebae03f7dea6fe36ebae03f370cbee66ebae03f96d3fce66ebae03f2cbe2fe66ebae03f1db571e66ebae03fc02259e96ebae03f'),
+    'k5_3': (12.0, '038b38ebb5b6e23f5a444eedb5b6e23f642bd2eeb5b6e23fb2fb3fedb5b6e23ffd9338f1b5b6e23f'),
+    'random_8_3_14': (11.889958281741574, 'a8fdb58b2a19dc3f9fec197e38a3dc3f1f97f904a8f4e03fbcd4330b4545d83fa9ff3f7ce188dc3f87260b86d384e83f785dc2394e99d83f8c307de49741d33f'),
+    'random_7_4_9': (10.711886826159514, 'c3526fc51837e13f1d88dc068355e73fa2c7a47d6214e33ffc6a40e3e3b8e23f4de9f497ee28e53fcba687d7a8b5e23f12a1ddcca21ee13f'),
+}
+
+
 class TestRayleighMaximize:
     def test_single_edge(self):
         val, vec = rayleigh_maximize_bruteforce(SINGLE_EDGE)
@@ -363,6 +395,12 @@ class TestRayleighMaximize:
         b = rayleigh_maximize_bruteforce(fano, rng_seed=4)
         assert a[0] == b[0]
         assert np.array_equal(a[1], b[1])
+
+    @pytest.mark.parametrize("name", sorted(BRUTEFORCE_BYTES))
+    def test_recorded_value_and_vector_bytes(self, name):
+        hg, seed = BRUTEFORCE_HOSTS[name]
+        val, vec = rayleigh_maximize_bruteforce(hg, rng_seed=seed)
+        assert (val, vec.tobytes().hex()) == BRUTEFORCE_BYTES[name]
 
     def test_argument_validation(self, fano):
         with pytest.raises(ArgumentRangeError):

@@ -223,6 +223,12 @@ class TestCriterionParams:
         with pytest.raises(ArgumentRangeError):
             CriterionParams(0.75, 3, 0.0, (50, 60))
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_sigma_finite(self, sigma):
+        # a nan sigma failed every record and an inf one passed every record
+        with pytest.raises(ArgumentRangeError, match="finite"):
+            CriterionParams(0.75, 3, sigma, (50, 60))
+
     def test_range_sane(self):
         with pytest.raises(ArgumentRangeError):
             CriterionParams(0.75, 3, 0.01, (1, 60))

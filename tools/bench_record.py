@@ -10,10 +10,12 @@ i and the change first on odd i; each run is
 `run_seconds` that BENCHMARK.json sets, and its exit code and last JSON line
 are kept.  A pair in which either run exited non-zero, was not correct or
 failed a query is left out of the summary and counted as excluded.  Then one
-`--trace 1` run per side and workload, and one tier-1 `pytest -q` per side,
-timed from outside, with each acceptance criterion's call time read off
-pytest's `--durations` table.  The file is rewritten after every run, so an
-interrupted recording keeps what it measured.  Stdlib only.
+`--trace 1` run per side and workload, and three tier-1 `pytest -q` runs per
+side, the parent first in the first and third round, each timed from outside,
+with each acceptance criterion's call time read off pytest's `--durations`
+table.  Every tier-1 run is kept, and each side's medians summarise them.
+The file is rewritten after every run, so an interrupted recording keeps
+what it measured.  Stdlib only.
 """
 
 import argparse
@@ -28,6 +30,7 @@ import time
 from pathlib import Path
 
 PAIRS = 10
+TIER1_RUNS = 3
 TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors", "--durations=0", "--durations-min=0"]
 # a call line of pytest's durations table for one acceptance criterion
 _CRITERION = re.compile(r"^([0-9.]+)s call\s+tests/test_acceptance\.py::(test_criterion_\d+)$", re.MULTILINE)
@@ -44,6 +47,20 @@ def _run(cwd: Path, argv: list[str]) -> tuple[float, int, str, str]:
 def criteria_times(pytest_stdout: str) -> dict[str, float]:
     """Call time in seconds of each acceptance criterion in a `--durations` table."""
     return {name: float(secs) for secs, name in _CRITERION.findall(pytest_stdout)}
+
+
+def tier1_summary(runs: list[dict]) -> dict:
+    """A side's tier-1 runs with the median wall time and each criterion's
+    median call time over the runs that timed it."""
+    names = sorted({name for run in runs for name in run["criteria_s"]})
+    return {
+        "runs": runs,
+        "wall_s": statistics.median(run["wall_s"] for run in runs),
+        "criteria_s": {
+            name: statistics.median(run["criteria_s"][name] for run in runs if name in run["criteria_s"])
+            for name in names
+        },
+    }
 
 
 def _bench(cwd: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -123,10 +140,16 @@ def main(argv=None) -> int:
             run = _bench(sides[side], workload, 1, seconds, 1)
             record["traces"].append({"workload": workload, "seed": 1, "side": side, **run})
             save()
-    for side, cwd in sides.items():
-        wall, code, out, last = _run(cwd, [sys.executable, *TIER1])
-        record["tier1"][side] = {"wall_s": wall, "returncode": code, "last_line": last, "criteria_s": criteria_times(out)}
-        save()
+    tier1: dict[str, list[dict]] = {side: [] for side in sides}
+    for i in range(TIER1_RUNS):
+        order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+        for side in order:
+            wall, code, out, last = _run(sides[side], [sys.executable, *TIER1])
+            tier1[side].append(
+                {"first": order[0], "wall_s": wall, "returncode": code, "last_line": last, "criteria_s": criteria_times(out)}
+            )
+            record["tier1"][side] = tier1_summary(tier1[side])
+            save()
     return 0
 
 
