@@ -12,13 +12,15 @@ The spectral radius is found by bracketed power iteration: at each
 positive iterate the ratios y_i / x_i^(r-1) enclose the true radius
 (Collatz-Wielandt), so the returned [lower, upper] bracket is valid even
 before convergence.  Weak irreducibility holds only per connected
-component, so disconnected inputs are solved component by component and
-the largest radius wins.
+component, so each edge-bearing component is its own block, with its own
+bracket, and the largest radius wins.  One batched iteration serves all
+blocks, of one host or of many, with one kernel call per step.
 """
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
@@ -41,6 +43,7 @@ DEFAULT_MAX_ITER = 100_000
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_STEPS = 200  # before _golden_max gives up; they narrow the bracket about 1e42-fold
+_WAVE_EDGES = 1 << 12  # edges that _radii hands to one batched iteration
 
 
 @dataclass(eq=False)
@@ -75,15 +78,18 @@ def _check_weights(hg: Hypergraph, x) -> np.ndarray:
 
 def _adjacency(edges: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
     """(A x)_i over an explicit (m, r) edge array."""
-    out = np.zeros(n)  # a float start: bincount of an empty column counts in int64
-    vals = [x[col] for col in edges.T]
+    cols = edges.T
+    vals = list(x[cols])
     # leave-one-out product at position j: the product of the values before
     # j, taken left to right, times the product of those after j, taken
-    # right to left; 1.0 stands for an empty product, as cumprod ones did
-    prefix = [1.0, *accumulate(vals[:-1], operator.mul)]
-    suffix = [*accumulate(vals[:0:-1], operator.mul)][::-1] + [1.0]
-    for col, before, after in zip(list(edges.T), prefix, suffix):
-        out += np.bincount(col, weights=before * after, minlength=n)
+    # right to left; the end positions have one side only
+    before = [*accumulate(vals[:-1], operator.mul)]
+    after = [*accumulate(vals[:0:-1], operator.mul)][::-1]
+    weights = [after[0], *map(operator.mul, before[:-1], after[1:]), before[-1]]
+    # bincount of an empty column counts in int64; edgeless results stay float64
+    out = np.bincount(cols[0], weights[0], n).astype(np.float64, copy=False)
+    for col, w in zip(cols[1:], weights[1:]):
+        out += np.bincount(col, w, n)
     return out
 
 
@@ -130,37 +136,165 @@ def eigen_residual(hg: Hypergraph, rho: float, x, operator: str = SIGNLESS_LAPLA
     return float(np.max(np.abs(_apply(hg, x, operator) - rho * x ** (hg.r - 1)), initial=0.0))
 
 
-def _component_iterate(edges, n, r, operator, tol, max_iter) -> SpectralResult:
-    """Bracketed power iteration on one connected, edge-bearing piece.
+def _layout(hg: Hypergraph) -> tuple[list[list[int]], np.ndarray]:
+    """hg's edge-bearing components, and its edges renumbered so that these are consecutive blocks.
+
+    Component k takes the next len(comp) ids, its vertices in increasing
+    order; an edge-bearing component has at least two vertices.  The
+    renumbering increases within each component, so the lex-sorted edges,
+    stably sorted by their new first vertex, are grouped by block, keep
+    their order within it, and stay sorted by first vertex.
+    """
+    blocks = [comp for comp in hg.components() if len(comp) > 1]
+    members = [v for comp in blocks for v in comp]
+    edges = hg.edge_array
+    if members != list(range(len(members))):
+        pos = np.empty(hg.n, dtype=np.int64)
+        pos[members] = np.arange(len(members))
+        edges = pos[edges[np.argsort(pos[edges[:, 0]], kind="stable")]]
+    return blocks, edges
+
+
+def _edgeless(hg: Hypergraph) -> SpectralResult:
+    vec = np.full(hg.n, hg.n ** (-1.0 / hg.r)) if hg.n else np.zeros(0)
+    return SpectralResult(0.0, 0.0, 0.0, vec, 0, 0.0, True)
+
+
+def _radii(hosts: Iterable[Hypergraph], operator: str, tol: float, max_iter: int) -> Iterator[SpectralResult]:
+    """spectral_radius of each host, all of one uniformity, one host at a time.
+
+    Consecutive hosts go to _iterate_blocks together, in waves of at most
+    _WAVE_EDGES edges (a larger host makes a wave alone).  Hosts are drawn
+    from ``hosts`` a wave ahead of their results.  The wave bounds the
+    kernel's temporaries, which grow with the edges in one call, and a
+    caller that keeps only what it needs of each result holds neither
+    every host nor every history at once.
+    """
+    if operator not in OPERATORS:
+        raise ArgumentRangeError(f"unknown operator {operator!r}")
+    if not 0 < tol < math.inf:
+        raise ArgumentRangeError(f"tol must be finite and > 0, got {tol}")
+    if max_iter < 1:
+        raise ArgumentRangeError(f"max_iter must be >= 1, got {max_iter}")
+    wave, edges = [], 0
+    for hg in hosts:
+        if wave and edges + hg.m > _WAVE_EDGES:
+            yield from _iterate_blocks(wave, operator, tol, max_iter)
+            wave, edges = [], 0
+        wave.append(hg)
+        edges += hg.m
+    if wave:
+        yield from _iterate_blocks(wave, operator, tol, max_iter)
+
+
+def _iterate_blocks(hosts: list[Hypergraph], operator: str, tol: float, max_iter: int) -> Iterator[SpectralResult]:
+    """The hosts' spectral results by one batched, bracketed power iteration.
+
+    Every edge-bearing component of every host is a block: the blocks lie
+    in one vertex range one after another, and each step applies the
+    operator to all blocks still running in one kernel call.  The tensor
+    is weakly irreducible on each block, so the block's own ratios
+    y_i / x_i^(r-1) bracket its radius (Collatz-Wielandt).  A block that
+    meets tol, or reaches max_iter, is frozen at that iterate and left
+    out of later kernel calls.  Each block's r-norm and final dot product
+    are taken on its own slice, so its numbers are those of iterating it
+    alone.  Each host then takes its best block.
 
     The adjacency operator is iterated as A + I, whose positive diagonal
     keeps the plain iteration from cycling, and the shift is taken off
     the bracket; the signless Laplacian already has a positive diagonal.
     """
+    laid = [_layout(hg) for hg in hosts]
+    size_list = [len(comp) for blocks, _ in laid for comp in blocks]
+    if not size_list:
+        yield from map(_edgeless, hosts)
+        return
+    if len(laid) == 1:
+        edges = laid[0][1]
+    else:
+        edges = np.concatenate([host_edges for _, host_edges in laid])
+        # shift each host's vertex ids past the blocks of the hosts before it
+        offsets = [*accumulate((sum(map(len, blocks)) for blocks, _ in laid), initial=0)]
+        edges += np.repeat(offsets[:-1], [len(host_edges) for _, host_edges in laid])[:, None]
+    r, n, sizes = hosts[0].r, sum(size_list), np.array(size_list)
     if operator == ADJACENCY:
         shift, diag = 1.0, np.ones(n)
     else:
         shift, diag = 0.0, np.bincount(edges.ravel(), minlength=n).astype(np.float64)
-    x = np.full(n, n ** (-1.0 / r))
-    history = []
-    for iterations in range(1, max_iter + 1):
+    x = np.array([size ** (-1.0 / r) for size in size_list]).repeat(sizes)
+    # per block, once frozen: (rho, converged, iterations, index into finals, start in those slices)
+    solved, finals = [None] * len(size_list), []
+    ids, lens = np.arange(len(size_list)), sizes  # the running blocks
+    ends = lens.cumsum()
+    starts = ends - lens
+    spans = list(zip(starts.tolist(), ends.tolist()))
+    running, lows, ups = [], [], []
+    for step in range(1, max_iter + 1):
         xp = x ** (r - 1)
-        y = _adjacency(edges, n, x)
+        y = _adjacency(edges, len(x), x)
         y += diag * xp
+        # rounding is monotone, so the least shifted ratio is the least ratio, shifted
         ratios = y / xp
-        lower = float(ratios.min()) - shift
-        upper = float(ratios.max()) - shift
-        history.append((lower, upper))
-        converged = upper - lower <= tol * max(upper, 1.0)
-        if converged or iterations == max_iter:
-            break  # x stays the iterate that y and the bracket belong to
+        ratios -= shift
+        lower = np.minimum.reduceat(ratios, starts)
+        upper = np.maximum.reduceat(ratios, starts)
+        running.append(ids)
+        lows.append(lower)
+        ups.append(upper)
+        done = upper - lower <= tol * np.maximum(upper, 1.0)
+        halt = done.nonzero()[0] if step < max_iter else np.arange(len(ids))
+        if len(halt):
+            # x stays the iterate that y and the bracket belong to; x has unit
+            # r-norm, so the Rayleigh estimate is a convex combination of the
+            # ratios and lies in the bracket
+            dots = [np.dot(x[a:b], y[a:b]) for a, b in map(spans.__getitem__, halt.tolist())]
+            rhos = (np.array(dots) - shift).clip(lower[halt], upper[halt])
+            if len(halt) == len(ids):  # the last running blocks stop: keep the arrays whole
+                at, kept = starts, (x, y, xp)
+            else:
+                keep = np.ones(len(ids), dtype=bool)
+                keep[halt] = False
+                live = keep.repeat(lens)
+                # where each halted block starts in the slices kept of the frozen vertices
+                at, kept = lens[halt].cumsum() - lens[halt], (x[~live], y[~live], xp[~live])
+            for block, rho, ok, start in zip(ids[halt].tolist(), rhos.tolist(), done[halt].tolist(), at.tolist()):
+                solved[block] = (rho, ok, step, len(finals), start)
+            finals.append(kept)
+            if len(halt) == len(ids):
+                break
+            # drop the frozen blocks; the edges stay grouped by block and sorted by first vertex
+            rows = keep.repeat(np.diff(edges[:, 0].searchsorted(ends), prepend=0))
+            edges = (live.cumsum() - 1)[edges[rows]]
+            ids, lens = ids[keep], lens[keep]
+            y, diag = y[live], diag[live]
+            ends = lens.cumsum()
+            starts = ends - lens
+            spans = list(zip(starts.tolist(), ends.tolist()))
         x = y ** (1.0 / (r - 1))
-        x /= np.sum(x**r) ** (1.0 / r)
-    # Rayleigh estimate at the final iterate; x has unit r-norm, so the
-    # estimate is a convex combination of the ratios and lies in the bracket
-    rho = float(np.clip(float(np.dot(x, y)) - shift, lower, upper))
-    residual = float(np.max(np.abs(y - shift * xp - rho * xp)))
-    return SpectralResult(rho, lower, upper, x, iterations, residual, converged, tuple(history))
+        xr = x**r
+        for a, b in spans:
+            x[a:b] /= xr[a:b].sum() ** (1.0 / r)
+
+    running, lows, ups = np.concatenate(running), np.concatenate(lows), np.concatenate(ups)
+    first = 0
+    for hg, (blocks, _) in zip(hosts, laid):
+        if not blocks:
+            yield _edgeless(hg)
+            continue
+        own = solved[first : first + len(blocks)]
+        best = max(range(len(own)), key=lambda j: own[j][0])  # max keeps the first of equal radii
+        rho, _, _, event, at = own[best]
+        x, y, xp = (arr[at : at + len(blocks[best])] for arr in finals[event])
+        # a block runs in every step until it freezes, so these are its brackets in order
+        mine = running == first + best
+        history = tuple(zip(lows[mine].tolist(), ups[mine].tolist()))
+        vec = np.zeros(hg.n)
+        vec[blocks[best]] = x
+        residual = float(np.abs(y - shift * xp - rho * xp).max())
+        iterations = sum(block[2] for block in own)
+        converged = all(block[1] for block in own)
+        yield SpectralResult(rho, *history[-1], vec, iterations, residual, converged, history)
+        first += len(blocks)
 
 
 def spectral_radius(
@@ -171,54 +305,14 @@ def spectral_radius(
 ) -> SpectralResult:
     """Largest H-eigenvalue of the chosen nonnegative tensor.
 
-    Disconnected inputs are handled per component; the result
-    carries the winning component's bracket and eigenvector (embedded in
-    the full vertex space), total iterations across components, and
-    converged = all components converged.  On hitting max_iter the best
+    Every edge-bearing component is solved as one block of a single
+    batched iteration, and the best block wins.  The result carries its
+    bracket, history and eigenvector (embedded in the full vertex space,
+    zero elsewhere), the iterations summed over components, and
+    converged = all components converged.  On hitting max_iter the
     bracket is returned with converged False rather than raising.
     """
-    if operator not in OPERATORS:
-        raise ArgumentRangeError(f"unknown operator {operator!r}")
-    if not 0 < tol < math.inf:
-        raise ArgumentRangeError(f"tol must be finite and > 0, got {tol}")
-    if max_iter < 1:
-        raise ArgumentRangeError(f"max_iter must be >= 1, got {max_iter}")
-
-    if hg.m == 0:
-        vec = np.full(hg.n, hg.n ** (-1.0 / hg.r)) if hg.n else np.zeros(0)
-        return SpectralResult(0.0, 0.0, 0.0, vec, 0, 0.0, True)
-
-    comps = hg.components()
-    if len(comps) == 1:
-        # one component holds every vertex: no renumbering needed
-        grouped, ends = hg.edge_array, [hg.m]
-    else:
-        # group the edges by component, keeping their order; rank renumbers each component from 0
-        sizes = np.array([len(comp) for comp in comps])
-        members = np.concatenate(comps)
-        label = np.empty(hg.n, dtype=np.int64)
-        label[members] = np.repeat(np.arange(len(comps)), sizes)
-        rank = np.empty(hg.n, dtype=np.int64)
-        rank[members] = np.arange(hg.n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        edge_label = label[hg.edge_array[:, 0]]
-        grouped = rank[hg.edge_array[np.argsort(edge_label, kind="stable")]]
-        ends = np.cumsum(np.bincount(edge_label, minlength=len(comps))).tolist()
-
-    solved = [
-        (comp, _component_iterate(grouped[start:stop], len(comp), hg.r, operator, tol, max_iter))
-        for comp, start, stop in zip(comps, [0] + ends, ends)
-        if start < stop
-    ]
-    # max keeps the first of equal radii
-    comp, best = max(solved, key=lambda item: item[1].rho)
-    vec = np.zeros(hg.n)
-    vec[comp] = best.eigenvector
-    return replace(
-        best,
-        eigenvector=vec,
-        iterations=sum(res.iterations for _, res in solved),
-        converged=all(res.converged for _, res in solved),
-    )
+    return next(_radii([hg], operator, tol, max_iter))
 
 
 def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:

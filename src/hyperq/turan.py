@@ -27,7 +27,15 @@ import numpy as np
 
 from .errors import ArgumentRangeError, DisconnectedError, NoConvergenceError, TooSmallError
 from .hypergraph import Hypergraph, build_bn, build_two_part_complete, delete_vertex
-from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, SpectralResult, _golden_max, spectral_radius
+from .spectral import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    SIGNLESS_LAPLACIAN,
+    SpectralResult,
+    _golden_max,
+    _radii,
+    spectral_radius,
+)
 
 def fano_turan_number(n: int) -> int:
     """Extremal edge count C(n,3) - C(floor(n/2),3) - C(ceil(n/2),3).
@@ -223,14 +231,19 @@ def check_condition2(
     return out
 
 
-def _converged_radius(hg: Hypergraph, tol: float, max_iter: int) -> SpectralResult:
-    """spectral_radius(hg); raises NoConvergenceError rather than return an unconverged value."""
-    res = spectral_radius(hg, tol=tol, max_iter=max_iter)
+def _converged(res: SpectralResult, n: int, m: int) -> SpectralResult:
+    """res, the spectral result of a host with n vertices and m edges;
+    raises NoConvergenceError rather than pass on an unconverged value."""
     if not res.converged:
         raise NoConvergenceError(
-            f"spectral iteration on n={hg.n}, m={hg.m} did not converge in {res.iterations} iterations"
+            f"spectral iteration on n={n}, m={m} did not converge in {res.iterations} iterations"
         )
     return res
+
+
+def _converged_radius(hg: Hypergraph, tol: float, max_iter: int) -> SpectralResult:
+    """spectral_radius(hg); raises NoConvergenceError rather than return an unconverged value."""
+    return _converged(spectral_radius(hg, tol=tol, max_iter=max_iter), hg.n, hg.m)
 
 
 def check_deletion_lemma(
@@ -287,9 +300,12 @@ def verify_extremality(
     Competitors: every unbalanced complete split, `samples` random edge
     deletions from B_n, and `samples` random sub-hypergraphs of complete
     two-part 3-graphs.  Each must stay below q(B_n) by more than 1e-8.
-    Desk-scale evidence for the extremal statement, not a proof.  ``tol``
-    and ``max_iter`` go to every spectral iteration; raises
-    NoConvergenceError if any does not converge.
+    Desk-scale evidence for the extremal statement, not a proof.  B_n and
+    the sampled hosts are solved together in one batched spectral
+    iteration, each with the numbers spectral_radius gives it alone.
+    ``tol`` and ``max_iter`` go to that iteration; raises
+    NoConvergenceError for the first host that does not converge, B_n
+    first and then the samples in the order they were drawn.
     """
     if n < 7:
         raise ArgumentRangeError(f"extremality check needs n >= 7, got {n}")
@@ -297,7 +313,23 @@ def verify_extremality(
         raise ArgumentRangeError(f"samples must be >= 1, got {samples}")
     rng = random.Random(rng_seed)
     base, _ = build_bn(n)
-    q_ref = _converged_radius(base, tol, max_iter).rho
+    drawn = []  # (kind, detail, m) of each competitor host, in draw order
+
+    def hosts():
+        yield base
+        for _ in range(samples):
+            k = rng.randint(1, 3)
+            hg = Hypergraph(3, n, np.delete(base.edge_array, rng.sample(range(base.m), k), axis=0))
+            drawn.append(("edge-deletion", f"dropped={k}", hg.m))
+            yield hg
+        for _ in range(samples):
+            hg = _random_colorable(rng, n)
+            drawn.append(("random-colorable", f"m={hg.m}", hg.m))
+            yield hg
+
+    # _radii draws the hosts a wave at a time, ahead of their results
+    solved = _radii(hosts(), SIGNLESS_LAPLACIAN, tol, max_iter)
+    q_ref = _converged(next(solved), n, base.m).rho
 
     competitors = []
 
@@ -308,13 +340,8 @@ def verify_extremality(
     for a in range(1, n):
         if abs(2 * a - n) > 1:
             add("unbalanced-split", f"a={a} b={n - a}", two_block_q(a, n - a).q_value)
-    for _ in range(samples):
-        k = rng.randint(1, 3)
-        edges = np.delete(base.edge_array, rng.sample(range(base.m), k), axis=0)
-        add("edge-deletion", f"dropped={k}", _converged_radius(Hypergraph(3, n, edges), tol, max_iter).rho)
-    for _ in range(samples):
-        hg = _random_colorable(rng, n)
-        add("random-colorable", f"m={hg.m}", _converged_radius(hg, tol, max_iter).rho)
+    for res, (kind, detail, m) in zip(solved, drawn):  # each result is drawn before its entry is read
+        add(kind, detail, _converged(res, n, m).rho)
 
     max_q = max(c.q for c in competitors)
     return ExtremalityReport(

@@ -312,6 +312,13 @@ class TestVerify:
         [line] = res.stderr.splitlines()
         assert "did not converge" in line
 
+    def test_extremal_unconverged_names_first_unconverged_host(self, runner):
+        # B_8 converges in one iteration, so the first edge-deletion competitor is named
+        res = invoke(runner, "verify", "extremal", "8", "--max-iter", "1")
+        assert res.exit_code == 4
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == ["Error: spectral iteration on n=8, m=46 did not converge in 1 iterations"]
+
     def test_bounds_unconverged_exit_4(self, runner):
         res = invoke(runner, "verify", "bounds", "9", "--max-iter", "1")
         assert res.exit_code == 4

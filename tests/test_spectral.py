@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperq import spectral
 from hyperq.errors import (
     ArgumentRangeError,
     DimensionMismatchError,
@@ -15,7 +17,10 @@ from hyperq.errors import (
 from hyperq.hypergraph import Hypergraph, build_bn, build_complete, build_fano, random_connected
 from hyperq.spectral import (
     ADJACENCY,
+    DEFAULT_TOL,
+    OPERATORS,
     SIGNLESS_LAPLACIAN,
+    SpectralResult,
     apply_adjacency,
     apply_signless_laplacian,
     eigen_residual,
@@ -24,6 +29,7 @@ from hyperq.spectral import (
     spectral_radius,
     _adjacency,
     _golden_max,
+    _radii,
 )
 
 from conftest import connected_hypergraphs, hypergraphs
@@ -430,9 +436,9 @@ def test_rayleigh_numerator_is_degree_r_homogeneous(hg, c):
 
 
 @st.composite
-def disjoint_unions(draw):
+def disjoint_unions(draw, rs=(2, 3, 4)):
     """2-4 hypergraphs of one uniformity placed at consecutive vertex offsets."""
-    r = draw(st.sampled_from((2, 3, 4)))
+    r = draw(st.sampled_from(rs))
     parts = draw(st.lists(hypergraphs(rs=(r,)), min_size=2, max_size=4))
     edges, offset = [], 0
     for part in parts:
@@ -493,3 +499,112 @@ def test_disjoint_triples():
     assert res.iterations == 8000 * one.iterations and res.converged
     assert res.eigenvector[:3].tobytes() == one.eigenvector.tobytes()
     assert not res.eigenvector[3:].any()
+
+
+def reference_component_iterate(edges, n, r, operator, tol, max_iter) -> SpectralResult:
+    """The one-component iteration that _radii replaced, kept as its reference
+    (on the reference kernel)."""
+    if operator == ADJACENCY:
+        shift, diag = 1.0, np.ones(n)
+    else:
+        shift, diag = 0.0, np.bincount(edges.ravel(), minlength=n).astype(np.float64)
+    x = np.full(n, n ** (-1.0 / r))
+    history = []
+    for iterations in range(1, max_iter + 1):
+        xp = x ** (r - 1)
+        y = prefix_suffix_adjacency(edges, n, x)
+        y += diag * xp
+        ratios = y / xp
+        lower = float(ratios.min()) - shift
+        upper = float(ratios.max()) - shift
+        history.append((lower, upper))
+        converged = upper - lower <= tol * max(upper, 1.0)
+        if converged or iterations == max_iter:
+            break  # x stays the iterate that y and the bracket belong to
+        x = y ** (1.0 / (r - 1))
+        x /= np.sum(x**r) ** (1.0 / r)
+    # Rayleigh estimate at the final iterate; x has unit r-norm, so the
+    # estimate is a convex combination of the ratios and lies in the bracket
+    rho = float(np.clip(float(np.dot(x, y)) - shift, lower, upper))
+    residual = float(np.max(np.abs(y - shift * xp - rho * xp)))
+    return SpectralResult(rho, lower, upper, x, iterations, residual, converged, tuple(history))
+
+
+def reference_spectral_radius(hg, operator, tol, max_iter) -> SpectralResult:
+    """The per-component loop that _radii replaced, kept as its reference."""
+    if hg.m == 0:
+        vec = np.full(hg.n, hg.n ** (-1.0 / hg.r)) if hg.n else np.zeros(0)
+        return SpectralResult(0.0, 0.0, 0.0, vec, 0, 0.0, True)
+
+    comps = hg.components()
+    if len(comps) == 1:
+        # one component holds every vertex: no renumbering needed
+        grouped, ends = hg.edge_array, [hg.m]
+    else:
+        # group the edges by component, keeping their order; rank renumbers each component from 0
+        sizes = np.array([len(comp) for comp in comps])
+        members = np.concatenate(comps)
+        label = np.empty(hg.n, dtype=np.int64)
+        label[members] = np.repeat(np.arange(len(comps)), sizes)
+        rank = np.empty(hg.n, dtype=np.int64)
+        rank[members] = np.arange(hg.n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        edge_label = label[hg.edge_array[:, 0]]
+        grouped = rank[hg.edge_array[np.argsort(edge_label, kind="stable")]]
+        ends = np.cumsum(np.bincount(edge_label, minlength=len(comps))).tolist()
+
+    solved = [
+        (comp, reference_component_iterate(grouped[start:stop], len(comp), hg.r, operator, tol, max_iter))
+        for comp, start, stop in zip(comps, [0] + ends, ends)
+        if start < stop
+    ]
+    # max keeps the first of equal radii
+    comp, best = max(solved, key=lambda item: item[1].rho)
+    vec = np.zeros(hg.n)
+    vec[comp] = best.eigenvector
+    return replace(
+        best,
+        eigenvector=vec,
+        iterations=sum(res.iterations for _, res in solved),
+        converged=all(res.converged for _, res in solved),
+    )
+
+
+@st.composite
+def host_lists(draw):
+    """1-5 hosts of one uniformity: connected, disconnected, edgeless, with isolated vertices."""
+    r = draw(st.sampled_from((2, 3, 4, 5)))
+    host = st.one_of(hypergraphs(rs=(r,)), connected_hypergraphs(rs=(r,)), disjoint_unions(rs=(r,)))
+    return draw(st.lists(host, min_size=1, max_size=5))
+
+
+RESULT_FIELDS = ("rho", "lower", "upper", "iterations", "residual", "converged", "history")
+
+
+@given(host_lists(), st.sampled_from(OPERATORS), st.sampled_from((1, 3, 100_000)))
+@settings(max_examples=200, deadline=None)
+def test_batched_hosts_match_per_component_reference(hosts, operator, max_iter):
+    got = list(_radii(hosts, operator, DEFAULT_TOL, max_iter))
+    assert len(got) == len(hosts)
+    for hg, res in zip(hosts, got):
+        want = reference_spectral_radius(hg, operator, DEFAULT_TOL, max_iter)
+        assert [getattr(res, f) for f in RESULT_FIELDS] == [getattr(want, f) for f in RESULT_FIELDS]
+        assert [type(getattr(res, f)) for f in RESULT_FIELDS] == [type(getattr(want, f)) for f in RESULT_FIELDS]
+        assert res.eigenvector.tobytes() == want.eigenvector.tobytes()
+
+
+@pytest.mark.parametrize("wave", [1, 100, spectral._WAVE_EDGES])
+@pytest.mark.parametrize("operator", OPERATORS)
+def test_blocks_freezing_at_different_steps_match_reference(operator, wave, monkeypatch):
+    # B_8 converges at once and B_9 in about 19 steps; the loose 3-path and a
+    # random host run on, so every later kernel call leaves frozen blocks out.
+    # A small wave splits the hosts over several batched iterations.
+    monkeypatch.setattr(spectral, "_WAVE_EDGES", wave)
+    path = Hypergraph(3, 41, [(2 * i, 2 * i + 1, 2 * i + 2) for i in range(20)])
+    hosts = [build_bn(8)[0], path, random_connected(10, 3, 25, rng=4), build_bn(9)[0], Hypergraph(3, 4, [])]
+    for max_iter in (2, 19, 300):
+        got = list(_radii(hosts, operator, DEFAULT_TOL, max_iter))
+        assert len(got) == len(hosts)
+        for hg, res in zip(hosts, got):
+            want = reference_spectral_radius(hg, operator, DEFAULT_TOL, max_iter)
+            assert [getattr(res, f) for f in RESULT_FIELDS] == [getattr(want, f) for f in RESULT_FIELDS]
+            assert res.eigenvector.tobytes() == want.eigenvector.tobytes()

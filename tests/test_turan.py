@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -406,3 +408,71 @@ def test_unconverged_extremality_raises():
     # q(B_8) converges at once from the uniform start; its competitors do not
     with pytest.raises(NoConvergenceError):
         verify_extremality(8, samples=2, max_iter=1)
+
+
+def reference_verify_extremality(n, samples, rng_seed, tol=1e-10, max_iter=100_000):
+    """verify_extremality as one spectral_radius call per host, B_n first and
+    then the competitors as drawn, kept as the reference of the batched solve."""
+    rng = random.Random(rng_seed)
+    base, _ = build_bn(n)
+    q_ref = turan._converged_radius(base, tol, max_iter).rho
+
+    competitors = []
+
+    def add(kind, detail, q):
+        margin = q_ref - q
+        competitors.append(turan.CompetitorRecord(kind, detail, q, margin, margin > 1e-8))
+
+    for a in range(1, n):
+        if abs(2 * a - n) > 1:
+            add("unbalanced-split", f"a={a} b={n - a}", two_block_q(a, n - a).q_value)
+    for _ in range(samples):
+        k = rng.randint(1, 3)
+        edges = np.delete(base.edge_array, rng.sample(range(base.m), k), axis=0)
+        add("edge-deletion", f"dropped={k}", turan._converged_radius(Hypergraph(3, n, edges), tol, max_iter).rho)
+    for _ in range(samples):
+        hg = _random_colorable(rng, n)
+        add("random-colorable", f"m={hg.m}", turan._converged_radius(hg, tol, max_iter).rho)
+
+    max_q = max(c.q for c in competitors)
+    return turan.ExtremalityReport(
+        n=n,
+        samples=samples,
+        q_reference=q_ref,
+        competitors=tuple(competitors),
+        max_q=max_q,
+        margin=q_ref - max_q,
+        passed=all(c.strict for c in competitors),
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", range(7, 11))
+def test_extremality_report_matches_one_call_per_host(n, seed):
+    assert verify_extremality(n, samples=25, rng_seed=seed) == reference_verify_extremality(n, 25, seed)
+
+
+def _outcome(check, *args, **kwargs):
+    try:
+        return check(*args, **kwargs)
+    except NoConvergenceError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("max_iter", [1, 12, 24, 40])
+@pytest.mark.parametrize("n", [8, 9])
+def test_unconverged_extremality_names_the_first_host_as_drawn(n, max_iter):
+    # some competitors converge within these budgets and some do not
+    got = _outcome(verify_extremality, n, samples=15, rng_seed=4, max_iter=max_iter)
+    assert got == _outcome(reference_verify_extremality, n, 15, 4, max_iter=max_iter)
+
+
+@pytest.mark.parametrize(
+    "n,host", [(8, "n=8, m=46"), (9, "n=9, m=70"), (10, "n=10, m=98")]
+)
+def test_unconverged_extremality_message(n, host):
+    # q(B_8) converges at once from the uniform start, so its first competitor
+    # is named; B_9 and B_10 are not yet converged after one iteration
+    with pytest.raises(NoConvergenceError) as err:
+        verify_extremality(n, samples=2, max_iter=1)
+    assert str(err.value) == f"spectral iteration on {host} did not converge in 1 iterations"
