@@ -13,7 +13,9 @@ from pathlib import Path
 
 import click
 
-from .containment import contains_subgraph, two_coloring
+# contains_subgraph is no longer called here, but perfbench/spans.py traces
+# calls through hyperq.cli.contains_subgraph, so the name stays importable
+from .containment import _fano_copy, contains_subgraph, two_coloring  # noqa: F401
 from .errors import ArgumentRangeError, HyperqError, NoConvergenceError, TooSmallError
 from .hypergraph import (
     Hypergraph,
@@ -231,7 +233,7 @@ def cmd_check(ctx, what, input_path, fmt, out):
     if what == "fano":
         if hg.r != 3:
             raise _Fail(f"{input_path}: fano check needs a 3-graph, got r={hg.r}", 3)
-        embedding = contains_subgraph(hg, build_fano())
+        embedding = _fano_copy(hg)
         ok = embedding is None
         verdict = "fano-free" if ok else "contains"
         witness = None if ok else list(embedding.mapping)

@@ -3,6 +3,19 @@
 Containment means plain subgraph containment: an injective vertex map
 sending every pattern edge onto some host edge.  Induced containment and
 embedding counts are out of scope.
+
+Two exact procedures, each a generator that pauses after a fixed amount
+of work: the embedding search behind `contains_subgraph` (`_search`) and
+the coloring search behind `two_coloring` (`_colorings`).  The Fano plane
+is not 2-colorable, so a proper 2-coloring of a 3-graph proves it
+Fano-free, and a Fano copy proves that it has no 2-coloring (Furedi &
+Simonovits, Combin. Probab. Comput. 14, 2005).  `is_fano_free` and
+`two_coloring` on 3-graphs therefore run both procedures in turns, on a
+fixed schedule of doubling budgets counted in search nodes and edge
+visits, never in wall time (`_race`), and answer from the first
+certificate.  Every answer is the one the deciding procedure gives alone:
+the same verdict, the same coloring and the same embedding.
+`contains_subgraph` runs the embedding search alone.
 """
 
 from collections.abc import Iterable, Iterator
@@ -132,14 +145,27 @@ def _embeddings(
     conditions: Iterable[tuple[int, int]],
     pinned: dict[int, int] | None = None,
 ) -> Iterator[tuple[int, ...]]:
-    """Every embedding of pattern into host, as mapping tuples, in search order.
+    """Every embedding of pattern into host, as mapping tuples, in search order
+    (see `_search`)."""
+    return (mapping for mapping in _search(host, pattern, conditions, pinned) if mapping is not None)
+
+
+def _search(
+    host: Hypergraph,
+    pattern: Hypergraph,
+    conditions: Iterable[tuple[int, int]],
+    pinned: dict[int, int] | None = None,
+) -> Iterator[tuple[int, ...] | None]:
+    """`_embeddings`' search: every embedding in search order, with a None
+    after every _SEARCH_TICK search nodes so that `_race` can take turns.
 
     Each condition (a, b) demands phi(a) < phi(b); it bounds the candidates
     at the level where the later of a and b is placed.  ``pinned`` fixes
     the images of some pattern vertices, which are placed first.  Sets of
     host vertices are bitmasks (see `contains_subgraph`); a completer mask
-    is built the first time the search reads its key and kept for this
-    call only, since one mask per key would cost up to n/8 bytes each.
+    is built the first time the search reads its key and kept until the
+    generator ends or is closed, since one mask per key would cost up to
+    n/8 bytes each.  The completion index is built on the first `next`.
 
     Known limit: a mask's size follows the highest completer id, not the
     number of completers, so on a host whose ids spread over a large n the
@@ -188,9 +214,15 @@ def _embeddings(
     at_least = {
         d: int.from_bytes(np.packbits(host_deg >= d, bitorder="little").tobytes(), "little") for d in set(pat_deg)
     }
+    del host_deg  # n entries: free them before the search starts
     assign = [-1] * pattern.n
+    nodes = 0
 
-    def extend(k: int, used: int, domains: list[int]) -> Iterator[tuple[int, ...]]:
+    def extend(k: int, used: int, domains: list[int]) -> Iterator[tuple[int, ...] | None]:
+        nonlocal nodes
+        nodes += 1
+        if not nodes % _SEARCH_TICK:
+            yield None
         if k == pattern.n:
             yield tuple(assign)
             return
@@ -218,41 +250,142 @@ def _embeddings(
             else:
                 yield from extend(k + 1, placed, narrowed)
 
-    return extend(0, 0, [at_least[d] for d in pat_deg])
+    try:
+        yield from extend(0, 0, [at_least[d] for d in pat_deg])
+    finally:
+        # extend refers to itself through its closure: drop that cycle, which
+        # holds the completion index and the masks, without waiting for gc
+        del extend
 
 
 def is_fano_free(hg: Hypergraph) -> bool:
-    """True iff hg contains no copy of the Fano plane."""
+    """True iff hg contains no copy of the Fano plane.
+
+    Settled by whichever exact certificate `_race` finds first: a proper
+    2-coloring proves the host free, since the Fano plane is not
+    2-colorable, and an embedding proves that it is not.  When the coloring
+    search ends first, without a coloring, the embedding search runs on
+    alone to its end.
+    """
     if hg.r != 3:
         raise UniformityMismatchError(f"Fano-freeness needs a 3-uniform hypergraph, got r={hg.r}")
-    return contains_subgraph(hg, build_fano()) is None
+    return _fano_copy(hg) is None
+
+
+def _fano_copy(hg: Hypergraph) -> Embedding | None:
+    """The Fano embedding `contains_subgraph` returns for the 3-graph hg, or
+    None when hg is Fano-free, settled by `_race`."""
+    procedure, found = _race(hg, _SEARCH)
+    return Embedding(found) if procedure == _SEARCH and found is not None else None
 
 
 def two_coloring(hg: Hypergraph) -> TwoColoring | None:
     """A proper 2-coloring of hg, or None when every assignment fails.
 
-    Backtracking over vertices (descending degree) with unit propagation:
-    once all but one vertex of an edge carry the same label, the last
-    vertex is forced to the other label.  Vertices with no incident edges
-    get label 0.  The first decision vertex is fixed to label 0; the
-    complement of a proper coloring is proper, so this loses nothing.
-    Decisions live on an explicit stack, so the search depth is not
-    bounded by the recursion limit.
+    The coloring is the first one the coloring search finds (see
+    `_colorings`).  On a 3-graph that search races the Fano search (see
+    `_race`): a Fano copy proves that no 2-coloring exists, since the Fano
+    plane has none, and answers None.  When the Fano search ends first,
+    without a copy, the coloring search runs on alone to its end.
     """
-    edges, incidence = hg.edges, hg.incidence
-    labels = [-1 if inc else 0 for inc in incidence]
-    order = [v for v in sorted(range(hg.n), key=lambda v: (-len(incidence[v]), v)) if labels[v] < 0]
+    if hg.r == 3:
+        procedure, found = _race(hg, _COLORING)
+        labels = found if procedure == _COLORING else None
+    else:
+        labels = next((found for found in _colorings(hg) if found is not None), None)
+    return None if labels is None else TwoColoring.from_assignment(labels)
 
-    def propagate(v: int, c: int, trail: list[int]) -> bool:
-        stack = [(v, c)]
-        while stack:
-            v, c = stack.pop()
+
+# The race's two procedures, and its schedule in deterministic units of work:
+# turn k = 0, 1, 2, ... runs the coloring search for 2**k ticks of
+# _COLORING_TICK edge visits, then the Fano search for 2**k ticks of
+# _SEARCH_TICK search nodes.  One tick of either costs about the same, a
+# fraction of a millisecond.  The coloring goes first: on small 2-colorable
+# hosts, and on hosts where propagation alone refutes a coloring, it ends
+# within its first tick, before the search has paid for its completion index.
+_COLORING, _SEARCH = 0, 1
+_COLORING_TICK = 2048
+_SEARCH_TICK = 16
+_DONE = object()
+_FANO = build_fano()  # one instance, so `_symmetry_conditions` finds its cache entry by identity
+
+
+def _race(hg: Hypergraph, question: int) -> tuple[int, list[int] | tuple[int, ...] | None]:
+    """Dovetail the coloring search and the Fano search on the 3-graph hg.
+
+    Returns ``(procedure, found)`` at the first of these events: a procedure
+    yields its certificate (the coloring's labels, the first embedding), or
+    the procedure named by ``question`` ends without one (found is None).
+    The other procedure ending without a certificate settles nothing (a
+    host with no 2-coloring may still be Fano-free, and a Fano-free host
+    need not be 2-colorable), so the named one then runs on alone.  Both
+    generators are closed before returning, which frees the completion
+    index and the masks.
+    """
+    procedures = (_colorings(hg), _search(hg, _FANO, _symmetry_conditions(_FANO)))
+    running = [_COLORING, _SEARCH]
+    ticks = 1
+    try:
+        while True:
+            for procedure in tuple(running):
+                for _ in range(ticks):
+                    found = next(procedures[procedure], _DONE)
+                    if found is None:
+                        continue
+                    if found is _DONE:
+                        if procedure != question:
+                            running.remove(procedure)
+                            break
+                        found = None
+                    return procedure, found
+            ticks *= 2
+    finally:
+        for generator in procedures:
+            generator.close()
+
+
+def _colorings(hg: Hypergraph) -> Iterator[list[int] | None]:
+    """`two_coloring`'s search: a None after every _COLORING_TICK edge visits,
+    then the labels of the first proper 2-coloring, if hg has one.
+
+    Backtracking over vertices (descending degree, ties by id) with unit
+    propagation: once all but one vertex of an edge carry the same label,
+    the last vertex is forced to the other label.  The first decision vertex
+    is fixed to label 0; the complement of a proper coloring is proper, so
+    this loses nothing.  Decisions live on an explicit stack, so the search
+    depth is not bounded by the recursion limit.
+
+    Vertices with no incident edges get label 0 and no decision: the search
+    runs on the host without them, renumbered in id order, which keeps the
+    search order, so it builds nothing per isolated vertex but its label.
+    """
+    present = np.zeros(hg.n, dtype=bool)
+    present[hg.edge_array] = True
+    verts = np.flatnonzero(present)
+    core = hg if len(verts) == hg.n else Hypergraph(hg.r, len(verts), np.searchsorted(verts, hg.edge_array))
+    edges, incidence = core.edges, core.incidence
+    labels = [-1] * core.n
+    order = sorted(range(core.n), key=lambda v: (-len(incidence[v]), v))
+    visits = 0
+    decisions: list[tuple[int, int, list[int]]] = []  # (position in order, label, trail)
+    i, c = 0, 0
+    while True:
+        while i < len(order) and labels[order[i]] >= 0:
+            i += 1
+        if i == len(order):
+            break
+        # propagate the decision: label order[i] with c, then every vertex this forces
+        trail: list[int] = []
+        stack = [(order[i], c)]
+        monochromatic = False
+        while stack and not monochromatic:
+            v, label_v = stack.pop()
             if labels[v] >= 0:
                 continue
-            labels[v] = c
+            labels[v] = label_v
             trail.append(v)
-            other = 1 - c
-            # each edge at v holds c: unless it holds `other`, its one open vertex is forced
+            other = 1 - label_v
+            # each edge at v holds label_v: unless it holds `other`, its one open vertex is forced
             for idx in incidence[v]:
                 open_vertex = None
                 for u in edges[idx]:
@@ -265,19 +398,14 @@ def two_coloring(hg: Hypergraph) -> TwoColoring | None:
                         open_vertex = u
                 else:
                     if open_vertex is None:
-                        return False  # monochromatic edge
+                        monochromatic = True
+                        break
                     stack.append((open_vertex, other))
-        return True
-
-    decisions: list[tuple[int, int, list[int]]] = []  # (position in order, label, trail)
-    i, c = 0, 0
-    while True:
-        while i < len(order) and labels[order[i]] >= 0:
-            i += 1
-        if i == len(order):
-            return TwoColoring.from_assignment(labels)
-        trail: list[int] = []
-        if propagate(order[i], c, trail):
+            visits += len(incidence[v])
+            if visits >= _COLORING_TICK:
+                visits = 0
+                yield None
+        if not monochromatic:
             decisions.append((i, c, trail))
             i, c = i + 1, 0
             continue
@@ -289,5 +417,11 @@ def two_coloring(hg: Hypergraph) -> TwoColoring | None:
                 c = 1
                 break
             if not decisions:
-                return None
+                return
             i, c, trail = decisions.pop()
+    if core is not hg:
+        full = [0] * hg.n
+        for v, label in zip(verts.tolist(), labels):
+            full[v] = label
+        labels = full
+    yield labels

@@ -88,12 +88,23 @@ class Hypergraph:
 
     @cached_property
     def incidence(self) -> tuple[tuple[int, ...], ...]:
-        """Per-vertex tuple of incident edge indices (built on first use)."""
-        lists: list[list[int]] = [[] for _ in range(self.n)]
+        """Per-vertex tuple of incident edge indices (built on first use).
+
+        Isolated vertices share the one empty tuple, so they cost a slot of
+        the outer tuple and nothing else.
+        """
+        present = np.zeros(self.n, dtype=bool)
+        present[self.edge_array] = True
+        covered = np.flatnonzero(present).tolist()
+        lists: list = [()] * self.n
+        for v in covered:
+            lists[v] = []
         for idx, e in enumerate(zip(*self.edge_array.T.tolist())):
             for v in e:
                 lists[v].append(idx)
-        return tuple(tuple(ix) for ix in lists)
+        for v in covered:
+            lists[v] = tuple(lists[v])
+        return tuple(lists)
 
     @property
     def m(self) -> int:

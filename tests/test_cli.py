@@ -4,8 +4,8 @@ import pytest
 from click.testing import CliRunner
 
 from hyperq.cli import main
-from hyperq.containment import Embedding
-from hyperq.hypergraph import build_fano, parse
+from hyperq.containment import Embedding, contains_subgraph
+from hyperq.hypergraph import Hypergraph, build_bn, build_fano, parse, serialize
 from hyperq.reporting import CSV_HEADER
 
 from cli_golden import CHECK, VERIFY
@@ -251,6 +251,28 @@ class TestCheck:
         labels = payload["coloring"]
         hg = parse(path.read_text())
         assert all(len({labels[v] for v in e}) > 1 for e in hg.edges)
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_b91_fano_free(self, runner, tmp_path, fmt):
+        # the embedding search alone does not finish on B_91; its 2-coloring settles the check
+        path = tmp_path / "b91.txt"
+        assert invoke(runner, "gen", "bn", "91", "--out", str(path)).exit_code == 0
+        res = invoke(runner, "check", "fano", str(path), "--format", fmt)
+        code, stdout = CHECK[("fano", "b9", fmt)]
+        assert res.exit_code == code == 0
+        assert res.stdout_bytes == stdout.encode()
+
+    def test_b91_with_in_part_edge_contains(self, runner, tmp_path):
+        host = Hypergraph(3, 91, [*build_bn(91)[0].edges, (0, 1, 9)])
+        path = tmp_path / "b91e.txt"
+        path.write_text(serialize(host))
+        res = invoke(runner, "check", "fano", str(path), "--format", "json")
+        assert res.exit_code == 1
+        payload = json.loads(res.output)
+        assert payload["verdict"] == "contains"
+        emb = Embedding(tuple(payload["embedding"]))
+        assert emb.is_valid_for(host, build_fano())
+        assert emb == contains_subgraph(host, build_fano())
 
     def test_fano_check_needs_3_graph(self, runner, tmp_path):
         path = tmp_path / "pair.txt"

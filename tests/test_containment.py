@@ -1,3 +1,4 @@
+import tracemalloc
 from collections.abc import Iterable, Iterator
 from itertools import combinations, permutations, product
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from hyperq.containment import (
     Embedding,
     _embeddings,
+    _fano_copy,
     _symmetry_conditions,
     contains_subgraph,
     is_fano_free,
@@ -254,6 +256,20 @@ def coloring_hosts(draw):
     vertices, which no 2-coloring makes free of monochromatic edges."""
     r = draw(st.sampled_from((2, 3, 4, 5)))
     return draw(hosts_around(build_complete(2 * r - 1, r), 2 * r + 3))
+
+
+@st.composite
+def bn_subgraphs(draw):
+    """A seeded subgraph of B_n for n = 7..9 plus up to three in-part edges;
+    an in-part edge and four vertices of the other part span a Fano copy
+    when the subgraph keeps the copy's six two-part edges."""
+    n = draw(st.integers(min_value=7, max_value=9))
+    hg, coloring = build_bn(n)
+    rnd = draw(st.randoms(use_true_random=False))
+    keep = draw(st.sampled_from((1.0, 0.9, 0.7)))
+    in_part = [e for e in combinations(range(n), 3) if len({coloring.assignment[v] for v in e}) == 1]
+    edges = {e for e in hg.edges if rnd.random() < keep} | set(rnd.sample(in_part, rnd.randint(0, 3)))
+    return Hypergraph(3, n, edges)
 
 
 class TestEmbeddingType:
@@ -516,3 +532,49 @@ class TestTwoColoring:
 def test_colorable_implies_fano_free(hg):
     if two_coloring(hg) is not None:
         assert is_fano_free(hg)
+
+
+class TestRace:
+    """`is_fano_free`, `two_coloring` and `_fano_copy` answer from whichever
+    exact certificate comes first; the answers are those of the procedures
+    run alone."""
+
+    @given(hypergraphs(max_n=9, rs=(2, 3, 4), max_m=40) | bn_subgraphs())
+    @settings(max_examples=100, deadline=None)
+    def test_same_answers_as_each_procedure_alone(self, fano, hg):
+        # no race runs for r = 2 and 4
+        assert two_coloring(hg) == reference_two_coloring(hg)
+        if hg.r == 3:
+            assert _fano_copy(hg) == contains_subgraph(hg, fano)
+
+    @given(hypergraphs(max_n=9, rs=(3,), max_m=40) | bn_subgraphs())
+    @settings(max_examples=15, deadline=None)
+    def test_is_fano_free_agrees_with_brute_force(self, fano, hg):
+        # a Fano-free host on 9 vertices costs the oracle about a second
+        assert is_fano_free(hg) == (not brute_force_contains(hg, fano))
+
+    def test_pair_link_host_has_neither_certificate(self, fano):
+        # K_7^3 minus the five triples through {0, 1}: every pair of Fano points
+        # lies on a line, so the host is Fano-free, and one colour holds four
+        # vertices, which span an edge.  Neither procedure can stop early.
+        host = Hypergraph(3, 7, [e for e in combinations(range(7), 3) if not {0, 1} <= set(e)])
+        assert host.m == 30
+        assert is_fano_free(host) is True
+        assert two_coloring(host) is None
+        assert not brute_force_contains(host, fano) and not brute_force_two_colorable(host)
+
+    def test_isolated_vertices_cost_nothing(self):
+        hg = Hypergraph(3, 10**6, build_bn(9)[0].edge_array)
+        tracemalloc.start()
+        try:
+            free = is_fano_free(hg)
+            free_peak = tracemalloc.get_traced_memory()[1]
+            cached = "incidence" in hg.__dict__
+            tracemalloc.reset_peak()
+            coloring = two_coloring(hg)
+            coloring_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert free is True and free_peak <= 16e6 and not cached
+        assert coloring_peak <= 40e6
+        assert len(coloring.assignment) == 10**6 and coloring.is_proper_for(hg)
