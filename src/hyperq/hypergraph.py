@@ -128,29 +128,7 @@ class Hypergraph:
 
         Isolated vertices form singleton components.
         """
-        # min-label propagation: each vertex points to a smaller or equal one.
-        # A round hooks the roots of every edge onto the edge's smallest root,
-        # then jumps pointers until each tree is a star whose root is its
-        # smallest vertex.  Every root with a smaller neighbouring root hooks,
-        # so the trees along a path at least halve in number each round.
-        parent = np.arange(self.n)
-        while self.m:
-            roots = [parent[col] for col in self.edge_array.T]
-            least = reduce(np.minimum, roots)
-            before = parent.copy()
-            for col in roots:
-                np.minimum.at(parent, col, least)
-            if (parent == before).all():
-                break
-            jumped = parent[parent]
-            while (jumped != parent).any():
-                parent = jumped
-                jumped = parent[parent]
-        # group by root: a stable argsort keeps each group's vertices increasing
-        flat = np.argsort(parent, kind="stable").tolist()
-        sizes = np.bincount(parent)
-        ends = np.cumsum(sizes[sizes > 0]).tolist()
-        return list(map(flat.__getitem__, map(slice, [0] + ends[:-1], ends)))
+        return _components(self.edge_array, self.n)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hypergraph):
@@ -162,6 +140,34 @@ class Hypergraph:
 
     def __repr__(self) -> str:
         return f"Hypergraph(r={self.r}, n={self.n}, m={self.m})"
+
+
+def _components(edges: np.ndarray, n: int) -> list[list[int]]:
+    """Connected components of the hypergraph on vertices 0..n-1 with these
+    (m, r) edges, as Hypergraph.components gives them."""
+    # min-label propagation: each vertex points to a smaller or equal one.
+    # A round hooks the roots of every edge onto the edge's smallest root,
+    # then jumps pointers until each tree is a star whose root is its
+    # smallest vertex.  Every root with a smaller neighbouring root hooks,
+    # so the trees along a path at least halve in number each round.
+    parent = np.arange(n)
+    while len(edges):
+        roots = [parent[col] for col in edges.T]
+        least = reduce(np.minimum, roots)
+        before = parent.copy()
+        for col in roots:
+            np.minimum.at(parent, col, least)
+        if (parent == before).all():
+            break
+        jumped = parent[parent]
+        while (jumped != parent).any():
+            parent = jumped
+            jumped = parent[parent]
+    # group by root: a stable argsort keeps each group's vertices increasing
+    flat = np.argsort(parent, kind="stable").tolist()
+    sizes = np.bincount(parent)
+    ends = np.cumsum(sizes[sizes > 0]).tolist()
+    return list(map(flat.__getitem__, map(slice, [0] + ends[:-1], ends)))
 
 
 def _canonical_edges(r: int, n: int, edges: Iterable[Iterable[int]]) -> np.ndarray:

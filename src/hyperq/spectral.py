@@ -19,6 +19,8 @@ blocks, of one host or of many, with one kernel call per step.
 
 import math
 import operator
+from bisect import bisect_left
+from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -32,7 +34,7 @@ from .errors import (
     NoConvergenceError,
     NotNormalizedError,
 )
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _components
 
 ADJACENCY = "adjacency"
 SIGNLESS_LAPLACIAN = "signless_laplacian"
@@ -136,23 +138,54 @@ def eigen_residual(hg: Hypergraph, rho: float, x, operator: str = SIGNLESS_LAPLA
     return float(np.max(np.abs(_apply(hg, x, operator) - rho * x ** (hg.r - 1)), initial=0.0))
 
 
-def _layout(hg: Hypergraph) -> tuple[list[list[int]], np.ndarray]:
-    """hg's edge-bearing components, and its edges renumbered so that these are consecutive blocks.
+def _layout(
+    hosts: list[Hypergraph], comps: list[list[int]] | None
+) -> tuple[list[list[int]], list[int], list[int], np.ndarray]:
+    """The edge-bearing components of the hosts' disjoint union, how many of
+    them each host has, the hosts' vertex offsets in the union, and the
+    union's edges renumbered so that these components are consecutive blocks.
 
-    Component k takes the next len(comp) ids, its vertices in increasing
-    order; an edge-bearing component has at least two vertices.  The
-    renumbering increases within each component, so the lex-sorted edges,
+    Host h's vertex v is vertex offsets[h] + v of the union, so the union's
+    components are the hosts' own, host by host, each host's in its own
+    order; ``comps``, when given, are those of the one host.  Component k
+    takes the next len(comp) ids, its vertices in increasing order; an
+    edge-bearing component has at least two vertices.  The renumbering
+    increases within each component, so the lex-sorted edges of each host,
     stably sorted by their new first vertex, are grouped by block, keep
     their order within it, and stay sorted by first vertex.
     """
-    blocks = [comp for comp in hg.components() if len(comp) > 1]
+    offsets = [*accumulate((hg.n for hg in hosts), initial=0)]
+    if len(hosts) == 1:
+        edges = hosts[0].edge_array
+        comps = hosts[0].components() if comps is None else comps
+    else:
+        edges = np.concatenate([hg.edge_array for hg in hosts])
+        edges += np.repeat(offsets[:-1], [hg.m for hg in hosts])[:, None]
+        comps = _components(edges, offsets[-1])
+    blocks = [comp for comp in comps if len(comp) > 1]
     members = [v for comp in blocks for v in comp]
-    edges = hg.edge_array
     if members != list(range(len(members))):
-        pos = np.empty(hg.n, dtype=np.int64)
+        pos = np.empty(offsets[-1], dtype=np.int64)
         pos[members] = np.arange(len(members))
         edges = pos[edges[np.argsort(pos[edges[:, 0]], kind="stable")]]
-    return blocks, edges
+    # the blocks are in order of their least vertex, so each host's are consecutive
+    cuts = [bisect_left(blocks, offset, key=operator.itemgetter(0)) for offset in offsets]
+    return blocks, [b - a for a, b in zip(cuts, cuts[1:])], offsets, edges
+
+
+def _size_groups(starts: np.ndarray, lens: np.ndarray) -> tuple[list[tuple[int, int]], list[np.ndarray]]:
+    """The blocks with these starts and lengths, by length: the vertex range
+    of each block whose length no other block has, and, for each length L
+    that k > 1 blocks share, the (k, L) array of their vertex ids."""
+    count = Counter(lens.tolist())
+    lone, shared = [], []
+    for size in sorted(count):
+        firsts = starts[lens == size]
+        if count[size] == 1:
+            lone.append((int(firsts[0]), int(firsts[0]) + size))
+        else:
+            shared.append(firsts[:, None] + np.arange(size))
+    return lone, shared
 
 
 def _edgeless(hg: Hypergraph) -> SpectralResult:
@@ -160,7 +193,9 @@ def _edgeless(hg: Hypergraph) -> SpectralResult:
     return SpectralResult(0.0, 0.0, 0.0, vec, 0, 0.0, True)
 
 
-def _radii(hosts: Iterable[Hypergraph], operator: str, tol: float, max_iter: int) -> Iterator[SpectralResult]:
+def _radii(
+    hosts: Iterable[Hypergraph], operator: str, tol: float, max_iter: int, comps: list[list[int]] | None = None
+) -> Iterator[SpectralResult]:
     """spectral_radius of each host, all of one uniformity, one host at a time.
 
     Consecutive hosts go to _iterate_blocks together, in waves of at most
@@ -168,7 +203,8 @@ def _radii(hosts: Iterable[Hypergraph], operator: str, tol: float, max_iter: int
     from ``hosts`` a wave ahead of their results.  The wave bounds the
     kernel's temporaries, which grow with the edges in one call, and a
     caller that keeps only what it needs of each result holds neither
-    every host nor every history at once.
+    every host nor every history at once.  A caller that has the
+    components of a lone host passes them as ``comps``.
     """
     if operator not in OPERATORS:
         raise ArgumentRangeError(f"unknown operator {operator!r}")
@@ -179,15 +215,17 @@ def _radii(hosts: Iterable[Hypergraph], operator: str, tol: float, max_iter: int
     wave, edges = [], 0
     for hg in hosts:
         if wave and edges + hg.m > _WAVE_EDGES:
-            yield from _iterate_blocks(wave, operator, tol, max_iter)
+            yield from _iterate_blocks(wave, operator, tol, max_iter, comps)
             wave, edges = [], 0
         wave.append(hg)
         edges += hg.m
     if wave:
-        yield from _iterate_blocks(wave, operator, tol, max_iter)
+        yield from _iterate_blocks(wave, operator, tol, max_iter, comps)
 
 
-def _iterate_blocks(hosts: list[Hypergraph], operator: str, tol: float, max_iter: int) -> Iterator[SpectralResult]:
+def _iterate_blocks(
+    hosts: list[Hypergraph], operator: str, tol: float, max_iter: int, comps: list[list[int]] | None = None
+) -> Iterator[SpectralResult]:
     """The hosts' spectral results by one batched, bracketed power iteration.
 
     Every edge-bearing component of every host is a block: the blocks lie
@@ -197,25 +235,19 @@ def _iterate_blocks(hosts: list[Hypergraph], operator: str, tol: float, max_iter
     y_i / x_i^(r-1) bracket its radius (Collatz-Wielandt).  A block that
     meets tol, or reaches max_iter, is frozen at that iterate and left
     out of later kernel calls.  Each block's r-norm and final dot product
-    are taken on its own slice, so its numbers are those of iterating it
-    alone.  Each host then takes its best block.
+    are taken on its own vertices, so its numbers are those of iterating
+    it alone; the r-norms are summed for all running blocks of one length
+    at once, one row per block.  Each host then takes its best block.
 
     The adjacency operator is iterated as A + I, whose positive diagonal
     keeps the plain iteration from cycling, and the shift is taken off
     the bracket; the signless Laplacian already has a positive diagonal.
     """
-    laid = [_layout(hg) for hg in hosts]
-    size_list = [len(comp) for blocks, _ in laid for comp in blocks]
-    if not size_list:
+    blocks, counts, offsets, edges = _layout(hosts, comps)
+    if not blocks:
         yield from map(_edgeless, hosts)
         return
-    if len(laid) == 1:
-        edges = laid[0][1]
-    else:
-        edges = np.concatenate([host_edges for _, host_edges in laid])
-        # shift each host's vertex ids past the blocks of the hosts before it
-        offsets = [*accumulate((sum(map(len, blocks)) for blocks, _ in laid), initial=0)]
-        edges += np.repeat(offsets[:-1], [len(host_edges) for _, host_edges in laid])[:, None]
+    size_list = [len(comp) for comp in blocks]
     r, n, sizes = hosts[0].r, sum(size_list), np.array(size_list)
     if operator == ADJACENCY:
         shift, diag = 1.0, np.ones(n)
@@ -223,11 +255,12 @@ def _iterate_blocks(hosts: list[Hypergraph], operator: str, tol: float, max_iter
         shift, diag = 0.0, np.bincount(edges.ravel(), minlength=n).astype(np.float64)
     x = np.array([size ** (-1.0 / r) for size in size_list]).repeat(sizes)
     # per block, once frozen: (rho, converged, iterations, index into finals, start in those slices)
-    solved, finals = [None] * len(size_list), []
-    ids, lens = np.arange(len(size_list)), sizes  # the running blocks
+    solved, finals = [None] * len(blocks), []
+    ids, lens = np.arange(len(blocks)), sizes  # the running blocks
     ends = lens.cumsum()
     starts = ends - lens
     spans = list(zip(starts.tolist(), ends.tolist()))
+    lone, shared = _size_groups(starts, lens)
     running, lows, ups = [], [], []
     for step in range(1, max_iter + 1):
         xp = x ** (r - 1)
@@ -270,31 +303,43 @@ def _iterate_blocks(hosts: list[Hypergraph], operator: str, tol: float, max_iter
             ends = lens.cumsum()
             starts = ends - lens
             spans = list(zip(starts.tolist(), ends.tolist()))
+            lone, shared = _size_groups(starts, lens)
         x = y ** (1.0 / (r - 1))
         xr = x**r
-        for a, b in spans:
+        # a lone block is a slice, which costs less than a gather; the blocks
+        # of a shared length are the rows of one array, and a row sums as its
+        # slice does.  The powers stay scalar: an array power may round otherwise.
+        for a, b in lone:
             x[a:b] /= xr[a:b].sum() ** (1.0 / r)
+        for index in shared:
+            norms = [total ** (1.0 / r) for total in xr[index].sum(axis=1).tolist()]
+            x[index] /= np.array(norms)[:, None]
 
-    running, lows, ups = np.concatenate(running), np.concatenate(lows), np.concatenate(ups)
+    # a block runs in every step until it freezes: sorted stably by block,
+    # its brackets are consecutive and in step order
+    running = np.concatenate(running)
+    order = np.argsort(running, kind="stable")
+    lows, ups = np.concatenate(lows)[order], np.concatenate(ups)[order]
+    history_ends = np.bincount(running).cumsum().tolist()
     first = 0
-    for hg, (blocks, _) in zip(hosts, laid):
-        if not blocks:
+    for hg, count, offset in zip(hosts, counts, offsets):
+        if not count:
             yield _edgeless(hg)
             continue
-        own = solved[first : first + len(blocks)]
-        best = max(range(len(own)), key=lambda j: own[j][0])  # max keeps the first of equal radii
-        rho, _, _, event, at = own[best]
-        x, y, xp = (arr[at : at + len(blocks[best])] for arr in finals[event])
-        # a block runs in every step until it freezes, so these are its brackets in order
-        mine = running == first + best
-        history = tuple(zip(lows[mine].tolist(), ups[mine].tolist()))
+        own = solved[first : first + count]
+        best = max(range(count), key=lambda j: own[j][0])  # max keeps the first of equal radii
+        rho, _, steps, event, at = own[best]
+        comp = blocks[first + best]
+        x, y, xp = (arr[at : at + len(comp)] for arr in finals[event])
+        end = history_ends[first + best]
+        history = tuple(zip(lows[end - steps : end].tolist(), ups[end - steps : end].tolist()))
         vec = np.zeros(hg.n)
-        vec[blocks[best]] = x
+        vec[np.subtract(comp, offset)] = x
         residual = float(np.abs(y - shift * xp - rho * xp).max())
         iterations = sum(block[2] for block in own)
         converged = all(block[1] for block in own)
         yield SpectralResult(rho, *history[-1], vec, iterations, residual, converged, history)
-        first += len(blocks)
+        first += count
 
 
 def spectral_radius(

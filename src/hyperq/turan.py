@@ -264,9 +264,11 @@ def check_deletion_lemma(
         raise ArgumentRangeError(f"deletion check needs r >= 3, got r={hg.r}")
     if hg.m < 2:
         raise TooSmallError(f"deletion check needs at least 2 edges, got {hg.m}")
-    if len(hg.components()) != 1:
+    comps = hg.components()
+    if len(comps) != 1:
         raise DisconnectedError("deletion check needs a connected hypergraph")
-    res = _converged_radius(hg, tol, max_iter)
+    # the solve takes the components found here rather than find them again
+    res = _converged(next(_radii([hg], SIGNLESS_LAPLACIAN, tol, max_iter, comps)), hg.n, hg.m)
     x = res.eigenvector
     w = int(np.argmin(x))
     t = float(x[w]) ** hg.r
@@ -278,16 +280,23 @@ def check_deletion_lemma(
     return DeletionCheck(lhs, rhs, lhs >= rhs - slack, w)
 
 
-def _random_colorable(rng: random.Random, n: int) -> Hypergraph:
-    """A random sub-hypergraph of some complete two-part 3-graph, never B_n."""
+def _random_colorable(rng: random.Random, n: int, splits: dict[int, np.ndarray]) -> Hypergraph:
+    """A random sub-hypergraph of some complete two-part 3-graph, never B_n.
+
+    ``splits`` maps a part size a to the edge array of the complete
+    two-part 3-graph with parts (a, n - a); a split missing from it is
+    built and added, so each is built once for all draws that share it.
+    """
     a = rng.randint(1, n - 1)
-    full, _ = build_two_part_complete(a, n - a)
+    if a not in splits:
+        splits[a] = build_two_part_complete(a, n - a)[0].edge_array
+    full = splits[a]
     keep = rng.uniform(0.6, 0.95)
-    edges = full.edge_array[np.array([rng.random() for _ in range(full.m)]) < keep]
-    edges = edges if len(edges) else full.edge_array[:1]
+    edges = full[np.array([rng.random() for _ in range(len(full))]) < keep]
+    edges = edges if len(edges) else full[:1]
     # a balanced split with nothing dropped would be B_n itself (or its
     # mirror labeling, which has the same q): force a strict competitor
-    if len(edges) == full.m and abs(2 * a - n) <= 1:
+    if len(edges) == len(full) and abs(2 * a - n) <= 1:
         edges = np.delete(edges, rng.randrange(len(edges)), axis=0)
     return Hypergraph(3, n, edges)
 
@@ -314,6 +323,7 @@ def verify_extremality(
     rng = random.Random(rng_seed)
     base, _ = build_bn(n)
     drawn = []  # (kind, detail, m) of each competitor host, in draw order
+    splits = {}  # the complete two-part edge arrays that _random_colorable draws from
 
     def hosts():
         yield base
@@ -323,7 +333,7 @@ def verify_extremality(
             drawn.append(("edge-deletion", f"dropped={k}", hg.m))
             yield hg
         for _ in range(samples):
-            hg = _random_colorable(rng, n)
+            hg = _random_colorable(rng, n, splits)
             drawn.append(("random-colorable", f"m={hg.m}", hg.m))
             yield hg
 

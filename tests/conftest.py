@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import strategies as st
 
+from hyperq import hypergraph, spectral
 from hyperq.hypergraph import Hypergraph, build_bn, build_fano
 
 
@@ -23,6 +24,21 @@ def k4():
 def b8():
     hg, coloring = build_bn(8)
     return hg, coloring
+
+
+@pytest.fixture
+def components_calls(monkeypatch):
+    """The vertex count of every components evaluation made while the test runs."""
+    calls = []
+    evaluate = hypergraph._components
+
+    def counted(edges, n):
+        calls.append(n)
+        return evaluate(edges, n)
+
+    monkeypatch.setattr(hypergraph, "_components", counted)
+    monkeypatch.setattr(spectral, "_components", counted)
+    return calls
 
 
 @st.composite

@@ -1,9 +1,10 @@
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperq import spectral
@@ -577,10 +578,45 @@ def host_lists(draw):
     return draw(st.lists(host, min_size=1, max_size=5))
 
 
+def wave_scale_hosts() -> list[Hypergraph]:
+    """40 3-graphs that make one wave at the default _WAVE_EDGES.
+
+    Most hosts are disjoint unions of 1-3 connected components of 3 to 9
+    vertices, some of them B_n, with isolated vertices before, between and
+    after them; edgeless hosts and hosts with no vertices lie in the middle.
+    The blocks have several lengths and freeze at different steps.
+    """
+    rng = random.Random(12)
+    hosts = []
+    for i in range(40):
+        if i in (11, 25):
+            hosts.append(Hypergraph(3, 0, []))
+            continue
+        if i in (12, 30):
+            hosts.append(Hypergraph(3, 4, []))
+            continue
+        edges, offset = [], rng.randint(0, 2)
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randint(3, 9)
+            if k > 3 and rng.random() < 0.3:
+                part = build_bn(k)[0]
+            else:
+                m = rng.randint(k - 2 if k > 3 else 1, min(2 * k, math.comb(k, 3)))
+                part = random_connected(k, 3, m, rng=rng.randrange(1000))
+            edges += [tuple(v + offset for v in e) for e in part.edges]
+            offset += part.n + rng.randint(0, 1)
+        hosts.append(Hypergraph(3, offset + rng.randint(0, 2), edges))
+    return hosts
+
+
+WAVE_HOSTS = wave_scale_hosts()
 RESULT_FIELDS = ("rho", "lower", "upper", "iterations", "residual", "converged", "history")
 
 
 @given(host_lists(), st.sampled_from(OPERATORS), st.sampled_from((1, 3, 100_000)))
+@example(WAVE_HOSTS, SIGNLESS_LAPLACIAN, 100_000)
+@example(WAVE_HOSTS, ADJACENCY, 100_000)
+@example(WAVE_HOSTS, SIGNLESS_LAPLACIAN, 3)
 @settings(max_examples=200, deadline=None)
 def test_batched_hosts_match_per_component_reference(hosts, operator, max_iter):
     got = list(_radii(hosts, operator, DEFAULT_TOL, max_iter))
@@ -608,3 +644,20 @@ def test_blocks_freezing_at_different_steps_match_reference(operator, wave, monk
             want = reference_spectral_radius(hg, operator, DEFAULT_TOL, max_iter)
             assert [getattr(res, f) for f in RESULT_FIELDS] == [getattr(want, f) for f in RESULT_FIELDS]
             assert res.eigenvector.tobytes() == want.eigenvector.tobytes()
+
+
+@pytest.mark.parametrize("wave,waves", [(1, 39), (100, 12), (spectral._WAVE_EDGES, 1)])
+def test_one_components_evaluation_per_wave(wave, waves, components_calls, monkeypatch):
+    # a wave of many hosts finds the components of their union once
+    iterate, sizes = spectral._iterate_blocks, []
+
+    def counted(hosts, *args):
+        sizes.append(len(hosts))
+        return iterate(hosts, *args)
+
+    monkeypatch.setattr(spectral, "_iterate_blocks", counted)
+    monkeypatch.setattr(spectral, "_WAVE_EDGES", wave)
+    results = list(_radii(WAVE_HOSTS, SIGNLESS_LAPLACIAN, DEFAULT_TOL, 100_000))
+    assert len(results) == sum(sizes) == len(WAVE_HOSTS)
+    assert len(sizes) == waves == len(components_calls)
+    assert sum(components_calls) == sum(hg.n for hg in WAVE_HOSTS)

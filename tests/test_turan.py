@@ -384,9 +384,54 @@ class _KeepEveryEdge:
 
 def test_random_colorable_never_returns_bn():
     bn, _ = build_bn(8)
-    hg = _random_colorable(_KeepEveryEdge(), 8)
+    hg = _random_colorable(_KeepEveryEdge(), 8, {})
     assert hg.m == bn.m - 1 == 47
     assert hg == Hypergraph(3, 8, bn.edges[1:])
+
+
+def reference_random_colorable(rng, n):
+    """_random_colorable as it was before it kept the splits it builds, kept as
+    its reference: it builds the complete two-part host for every draw."""
+    a = rng.randint(1, n - 1)
+    full, _ = build_two_part_complete(a, n - a)
+    keep = rng.uniform(0.6, 0.95)
+    edges = full.edge_array[np.array([rng.random() for _ in range(full.m)]) < keep]
+    edges = edges if len(edges) else full.edge_array[:1]
+    if len(edges) == full.m and abs(2 * a - n) <= 1:
+        edges = np.delete(edges, rng.randrange(len(edges)), axis=0)
+    return Hypergraph(3, n, edges)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("n", [7, 8, 9, 12])
+def test_random_colorable_matches_reference(n, seed):
+    # the same draws from the same rng calls, each split built once
+    got, want, splits = random.Random(seed), random.Random(seed), {}
+    for _ in range(60):
+        assert _random_colorable(got, n, splits) == reference_random_colorable(want, n)
+    assert got.getstate() == want.getstate()
+    assert sorted(splits) == list(range(1, n))
+    for a, edges in splits.items():
+        assert np.array_equal(edges, build_two_part_complete(a, n - a)[0].edge_array)
+
+
+def test_random_colorable_builds_each_split_once(monkeypatch):
+    built = []
+
+    def counted(a, b):
+        built.append(a)
+        return build_two_part_complete(a, b)
+
+    monkeypatch.setattr(turan, "build_two_part_complete", counted)
+    verify_extremality(9, samples=40, rng_seed=2)
+    assert sorted(built) == sorted(set(built))
+
+
+def test_deletion_check_finds_components_once_per_host(components_calls):
+    hg = random_connected(10, 3, 22, rng=3)
+    components_calls.clear()  # random_connected checked its draws
+    check_deletion_lemma(hg)
+    assert components_calls == [hg.n, hg.n - 1]  # one for hg, one for hg - w
 
 
 @pytest.mark.parametrize("n", range(7, 13))
@@ -431,7 +476,7 @@ def reference_verify_extremality(n, samples, rng_seed, tol=1e-10, max_iter=100_0
         edges = np.delete(base.edge_array, rng.sample(range(base.m), k), axis=0)
         add("edge-deletion", f"dropped={k}", turan._converged_radius(Hypergraph(3, n, edges), tol, max_iter).rho)
     for _ in range(samples):
-        hg = _random_colorable(rng, n)
+        hg = reference_random_colorable(rng, n)
         add("random-colorable", f"m={hg.m}", turan._converged_radius(hg, tol, max_iter).rho)
 
     max_q = max(c.q for c in competitors)
