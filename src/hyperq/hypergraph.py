@@ -11,7 +11,6 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -112,6 +111,8 @@ class Hypergraph:
         return len(self.edge_array)
 
     def degree(self, v: int) -> int:
+        if not 0 <= v < self.n:
+            raise VertexOutOfRangeError(f"vertex {v} outside [0, {self.n})")
         return len(self.incidence[v])
 
     def degrees(self) -> list[int]:
@@ -359,11 +360,22 @@ def random_connected(n: int, r: int, m: int, rng: int | random.Random = 0) -> Hy
         raise ArgumentRangeError(f"edge count {m} outside [1, {total}]")
     if m * (r - 1) < n - 1:
         raise ArgumentRangeError(f"{m} edges can never connect {n} vertices")
+    if total >= 2**63:
+        raise ArgumentRangeError(f"C({n}, {r}) = {total} r-subsets are too many to index")
     if isinstance(rng, int):
         rng = random.Random(rng)
-    pool = list(combinations(range(n), r))
+    # the lexicographic rank of {c_1 < ... < c_r} is total - 1 minus the sum
+    # of C(n - 1 - c_j, r + 1 - j), the colex rank of its mirror image; as
+    # c_j >= j - 1, no term needs n - 1 - c_j above n - j, and none exceeds total
+    table = [np.array([math.comb(d, i) for d in range(n - r + i)]) for i in range(r, 0, -1)]
     for _ in range(_CONNECT_ATTEMPTS):
-        hg = Hypergraph(r, n, rng.sample(pool, m))
+        rest = total - 1 - np.array(rng.sample(range(total), m), dtype=np.int64)
+        edges = np.empty((m, r), dtype=np.int64)
+        for j, counts in enumerate(table):
+            d = counts.searchsorted(rest, side="right") - 1
+            rest -= counts[d]
+            edges[:, j] = n - 1 - d
+        hg = Hypergraph(r, n, edges)
         if len(hg.components()) == 1:
             return hg
     raise NoConvergenceError(f"no connected draw of {m} edges on {n} vertices in {_CONNECT_ATTEMPTS} attempts")

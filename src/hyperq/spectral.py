@@ -141,9 +141,9 @@ def eigen_residual(hg: Hypergraph, rho: float, x, operator: str = SIGNLESS_LAPLA
 def _layout(
     hosts: list[Hypergraph], comps: list[list[int]] | None
 ) -> tuple[list[list[int]], list[int], list[int], np.ndarray]:
-    """The edge-bearing components of the hosts' disjoint union, how many of
-    them each host has, the hosts' vertex offsets in the union, and the
-    union's edges renumbered so that these components are consecutive blocks.
+    """The edge-bearing components of the hosts' disjoint union, the cuts
+    that give host h the blocks cuts[h] to cuts[h + 1], the hosts' vertex
+    offsets, and the union's edges renumbered into consecutive blocks.
 
     Host h's vertex v is vertex offsets[h] + v of the union, so the union's
     components are the hosts' own, host by host, each host's in its own
@@ -170,13 +170,15 @@ def _layout(
         edges = pos[edges[np.argsort(pos[edges[:, 0]], kind="stable")]]
     # the blocks are in order of their least vertex, so each host's are consecutive
     cuts = [bisect_left(blocks, offset, key=operator.itemgetter(0)) for offset in offsets]
-    return blocks, [b - a for a, b in zip(cuts, cuts[1:])], offsets, edges
+    return blocks, cuts, offsets, edges
 
 
-def _size_groups(starts: np.ndarray, lens: np.ndarray) -> tuple[list[tuple[int, int]], list[np.ndarray]]:
-    """The blocks with these starts and lengths, by length: the vertex range
-    of each block whose length no other block has, and, for each length L
-    that k > 1 blocks share, the (k, L) array of their vertex ids."""
+def _size_groups(lens: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]], list[np.ndarray]]:
+    """Starts and ends of consecutive blocks of these lengths, and by length
+    the range of each block whose length no other has and, for each length
+    L that k > 1 blocks share, the (k, L) array of their vertex ids."""
+    ends = lens.cumsum()
+    starts = ends - lens
     count = Counter(lens.tolist())
     lone, shared = [], []
     for size in sorted(count):
@@ -185,7 +187,7 @@ def _size_groups(starts: np.ndarray, lens: np.ndarray) -> tuple[list[tuple[int, 
             lone.append((int(firsts[0]), int(firsts[0]) + size))
         else:
             shared.append(firsts[:, None] + np.arange(size))
-    return lone, shared
+    return starts, ends, lone, shared
 
 
 def _edgeless(hg: Hypergraph) -> SpectralResult:
@@ -233,17 +235,17 @@ def _iterate_blocks(
     operator to all blocks still running in one kernel call.  The tensor
     is weakly irreducible on each block, so the block's own ratios
     y_i / x_i^(r-1) bracket its radius (Collatz-Wielandt).  A block that
-    meets tol, or reaches max_iter, is frozen at that iterate and left
-    out of later kernel calls.  Each block's r-norm and final dot product
-    are taken on its own vertices, so its numbers are those of iterating
-    it alone; the r-norms are summed for all running blocks of one length
-    at once, one row per block.  Each host then takes its best block.
+    meets tol, or reaches max_iter, freezes: its x, y and x^(r-1) go into
+    one (3, n) array at its layout ids, where its host reads its best
+    block.  Each block's r-norm and final dot product are taken on its own
+    vertices, so its numbers are those of iterating it alone; the r-norms
+    of the running blocks of one length are summed at once.
 
     The adjacency operator is iterated as A + I, whose positive diagonal
     keeps the plain iteration from cycling, and the shift is taken off
     the bracket; the signless Laplacian already has a positive diagonal.
     """
-    blocks, counts, offsets, edges = _layout(hosts, comps)
+    blocks, cuts, offsets, edges = _layout(hosts, comps)
     if not blocks:
         yield from map(_edgeless, hosts)
         return
@@ -254,13 +256,11 @@ def _iterate_blocks(
     else:
         shift, diag = 0.0, np.bincount(edges.ravel(), minlength=n).astype(np.float64)
     x = np.array([size ** (-1.0 / r) for size in size_list]).repeat(sizes)
-    # per block, once frozen: (rho, converged, iterations, index into finals, start in those slices)
-    solved, finals = [None] * len(blocks), []
-    ids, lens = np.arange(len(blocks)), sizes  # the running blocks
-    ends = lens.cumsum()
-    starts = ends - lens
-    spans = list(zip(starts.tolist(), ends.tolist()))
-    lone, shared = _size_groups(starts, lens)
+    solved = [None] * len(blocks)  # per block, once frozen: (rho, converged, iterations)
+    final = np.empty((3, n))  # x, y and x^(r-1) of each frozen block, at its layout ids
+    ids, lens, verts = np.arange(len(blocks)), sizes, np.arange(n)  # the running blocks, their vertices' layout ids
+    starts, ends, lone, shared = _size_groups(lens)
+    origins = starts.tolist()
     running, lows, ups = [], [], []
     for step in range(1, max_iter + 1):
         xp = x ** (r - 1)
@@ -280,30 +280,23 @@ def _iterate_blocks(
             # x stays the iterate that y and the bracket belong to; x has unit
             # r-norm, so the Rayleigh estimate is a convex combination of the
             # ratios and lies in the bracket
-            dots = [np.dot(x[a:b], y[a:b]) for a, b in map(spans.__getitem__, halt.tolist())]
+            dots = [np.dot(x[a:b], y[a:b]) for a, b in zip(starts[halt].tolist(), ends[halt].tolist())]
             rhos = (np.array(dots) - shift).clip(lower[halt], upper[halt])
-            if len(halt) == len(ids):  # the last running blocks stop: keep the arrays whole
-                at, kept = starts, (x, y, xp)
-            else:
-                keep = np.ones(len(ids), dtype=bool)
-                keep[halt] = False
-                live = keep.repeat(lens)
-                # where each halted block starts in the slices kept of the frozen vertices
-                at, kept = lens[halt].cumsum() - lens[halt], (x[~live], y[~live], xp[~live])
-            for block, rho, ok, start in zip(ids[halt].tolist(), rhos.tolist(), done[halt].tolist(), at.tolist()):
-                solved[block] = (rho, ok, step, len(finals), start)
-            finals.append(kept)
+            for block, rho, ok in zip(ids[halt].tolist(), rhos.tolist(), done[halt].tolist()):
+                solved[block] = (rho, ok, step)
+            # every running block is written, which costs less than picking
+            # out the halted ones; a block's last write is the one at its freeze
+            final[:, verts] = x, y, xp
             if len(halt) == len(ids):
                 break
+            keep = np.ones(len(ids), dtype=bool)
+            keep[halt] = False
+            live = keep.repeat(lens)
             # drop the frozen blocks; the edges stay grouped by block and sorted by first vertex
             rows = keep.repeat(np.diff(edges[:, 0].searchsorted(ends), prepend=0))
             edges = (live.cumsum() - 1)[edges[rows]]
-            ids, lens = ids[keep], lens[keep]
-            y, diag = y[live], diag[live]
-            ends = lens.cumsum()
-            starts = ends - lens
-            spans = list(zip(starts.tolist(), ends.tolist()))
-            lone, shared = _size_groups(starts, lens)
+            ids, lens, verts, y, diag = ids[keep], lens[keep], verts[live], y[live], diag[live]
+            starts, ends, lone, shared = _size_groups(lens)
         x = y ** (1.0 / (r - 1))
         xr = x**r
         # a lone block is a slice, which costs less than a gather; the blocks
@@ -321,17 +314,16 @@ def _iterate_blocks(
     order = np.argsort(running, kind="stable")
     lows, ups = np.concatenate(lows)[order], np.concatenate(ups)[order]
     history_ends = np.bincount(running).cumsum().tolist()
-    first = 0
-    for hg, count, offset in zip(hosts, counts, offsets):
-        if not count:
+    for hg, first, last, offset in zip(hosts, cuts, cuts[1:], offsets):
+        if first == last:
             yield _edgeless(hg)
             continue
-        own = solved[first : first + count]
-        best = max(range(count), key=lambda j: own[j][0])  # max keeps the first of equal radii
-        rho, _, steps, event, at = own[best]
-        comp = blocks[first + best]
-        x, y, xp = (arr[at : at + len(comp)] for arr in finals[event])
-        end = history_ends[first + best]
+        own = solved[first:last]
+        best = max(range(first, last), key=lambda k: solved[k][0])  # max keeps the first of equal radii
+        rho, _, steps = solved[best]
+        comp, start = blocks[best], origins[best]
+        x, y, xp = final[:, start : start + len(comp)]
+        end = history_ends[best]
         history = tuple(zip(lows[end - steps : end].tolist(), ups[end - steps : end].tolist()))
         vec = np.zeros(hg.n)
         vec[np.subtract(comp, offset)] = x
@@ -339,7 +331,6 @@ def _iterate_blocks(
         iterations = sum(block[2] for block in own)
         converged = all(block[1] for block in own)
         yield SpectralResult(rho, *history[-1], vec, iterations, residual, converged, history)
-        first += count
 
 
 def spectral_radius(
@@ -398,8 +389,7 @@ def rayleigh_maximize_bruteforce(
         raise ArgumentRangeError(f"steps must be >= 1, got {steps}")
     n, r = hg.n, hg.r
     if hg.m == 0:
-        vec = np.full(n, n ** (-1.0 / r)) if n else np.zeros(0)
-        return 0.0, vec
+        return 0.0, _edgeless(hg).eigenvector
     edges = hg.edges
     deg = hg.degrees()
     rng = np.random.default_rng(rng_seed)

@@ -1,7 +1,9 @@
 import copy
 import math
 import pickle
+import random
 import time
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -419,6 +421,13 @@ class TestDeleteVertex:
             delete_vertex(fano, 7)
 
 
+@pytest.mark.parametrize("v", [-1, 7])
+def test_degree_out_of_range(fano, v):
+    # -1 must not read the last vertex's degree
+    with pytest.raises(VertexOutOfRangeError, match=rf"vertex {v} outside \[0, 7\)"):
+        fano.degree(v)
+
+
 class TestRandomConnected:
     def test_shape_and_connectivity(self):
         hg = random_connected(8, 3, 10, rng=1)
@@ -447,12 +456,52 @@ class TestRandomConnected:
             (0, 1), (0, 4), (0, 5), (1, 2), (1, 3), (1, 5), (1, 6), (5, 6)
         )
 
+    @pytest.mark.parametrize("n", range(3, 12))
+    def test_matches_draws_from_the_subset_list(self, n):
+        # sampling a range picks the indices that sampling the list of all
+        # r-subsets picks, so each seeded host is the one drawn from that list
+        for r in range(2, min(n, 5) + 1):
+            fewest = -(-(n - 1) // (r - 1))  # edges that can connect n vertices
+            for seed in range(3):
+                m = random.Random(seed).randint(fewest, math.comb(n, r))
+                assert random_connected(n, r, m, rng=seed) == reference_random_connected(n, r, m, seed)
+
+    def test_memory_does_not_grow_with_the_subset_count(self):
+        # C(150, 3) = 551,300 subsets held as tuples took about 40 MB
+        tracemalloc.start()
+        try:
+            hg = random_connected(150, 3, 500, rng=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (hg.n, hg.m, len(hg.components())) == (150, 500, 1)
+        assert peak < 1 << 20
+
+    def test_middle_binomials_beyond_int64(self):
+        # C(69, 34) > 2**63 although C(70, 68) = 2,415 is small
+        hg = random_connected(70, 68, 2, rng=0)
+        assert (hg.m, len(hg.components())) == (2, 1)
+
+    def test_too_many_subsets_to_index(self):
+        with pytest.raises(ArgumentRangeError, match="too many to index"):
+            random_connected(70, 35, 50)
+
     def test_attempt_budget(self):
         # 15 triples connect 30 vertices only as a spanning tree: the draws run out
         t0 = time.perf_counter()
         with pytest.raises(NoConvergenceError):
             random_connected(30, 3, 15, rng=0)
         assert time.perf_counter() - t0 < 1.0
+
+
+def reference_random_connected(n, r, m, seed):
+    """random_connected's draws taken from the list of every r-subset."""
+    rng, pool = random.Random(seed), list(combinations(range(n), r))
+    for _ in range(1000):
+        hg = Hypergraph(r, n, rng.sample(pool, m))
+        if len(hg.components()) == 1:
+            return hg
+    return None
 
 
 @given(hypergraphs())

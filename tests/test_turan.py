@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -357,6 +358,15 @@ class TestVerifyExtremality:
         a = verify_extremality(8, samples=5, rng_seed=3)
         b = verify_extremality(8, samples=5, rng_seed=3)
         assert a == b
+
+    def test_pair_link_host_beats_b7(self):
+        # K_7^3 minus the five triples through {0, 1}, a Fano-free host that is
+        # not 2-colorable (test_containment pins both), has as many edges as
+        # B_7 and a larger q: 26.2716 against 25.8858.  verify_extremality(7)
+        # draws no such competitor and passes.
+        host = Hypergraph(3, 7, [e for e in combinations(range(7), 3) if not {0, 1} <= set(e)])
+        assert host.m == fano_turan_number(7)
+        assert spectral_radius(host).lower > spectral_radius(build_bn(7)[0]).upper
 
     def test_argument_validation(self):
         with pytest.raises(ArgumentRangeError):
