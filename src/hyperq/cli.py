@@ -13,6 +13,8 @@ from pathlib import Path
 
 import click
 
+from . import __version__
+
 # contains_subgraph is no longer called here, but perfbench/spans.py traces
 # calls through hyperq.cli.contains_subgraph, so the name stays importable
 from .containment import _fano_copy, contains_subgraph, two_coloring  # noqa: F401
@@ -95,7 +97,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 @click.group()
-@click.version_option(package_name="hyperq")
+@click.version_option(version=__version__, prog_name="hyperq")
 def main():
     """Spectral and extremal toolkit for uniform hypergraphs."""
 

@@ -52,11 +52,13 @@ class Hypergraph:
     EdgeArityError
         If an edge does not have exactly r distinct vertices.
     VertexOutOfRangeError
-        If an edge mentions a vertex outside [0, n).
+        If an edge mentions a vertex outside [0, n) or a vertex id that is
+        not an integer (a float, even 1.0, or a string).
     DuplicateEdgeError
         If two input edges are equal as vertex sets.  Duplicates are
         never merged silently.  Errors name the first faulty edge in input
-        order, checking arity, then range, then equality to an earlier edge.
+        order, checking arity, then that the ids are integers in range, then
+        equality to an earlier edge.
     """
 
     def __init__(self, r: int, n: int, edges: Iterable[Iterable[int]]):
@@ -87,7 +89,7 @@ class Hypergraph:
 
     @cached_property
     def incidence(self) -> tuple[tuple[int, ...], ...]:
-        """Per-vertex tuple of incident edge indices (built on first use).
+        """Per-vertex tuple of incident edge indices (built from ``edges`` on first use).
 
         Isolated vertices share the one empty tuple, so they cost a slot of
         the outer tuple and nothing else.
@@ -98,7 +100,7 @@ class Hypergraph:
         lists: list = [()] * self.n
         for v in covered:
             lists[v] = []
-        for idx, e in enumerate(zip(*self.edge_array.T.tolist())):
+        for idx, e in enumerate(self.edges):
             for v in e:
                 lists[v].append(idx)
         for v in covered:
@@ -113,7 +115,8 @@ class Hypergraph:
     def degree(self, v: int) -> int:
         if not 0 <= v < self.n:
             raise VertexOutOfRangeError(f"vertex {v} outside [0, {self.n})")
-        return len(self.incidence[v])
+        # an edge holds v at most once, so this counts its edges without building incidence
+        return int(np.count_nonzero(self.edge_array == v))
 
     def degrees(self) -> list[int]:
         return np.bincount(self.edge_array.ravel(), minlength=self.n).tolist()
@@ -178,18 +181,24 @@ def _canonical_edges(r: int, n: int, edges: Iterable[Iterable[int]]) -> np.ndarr
     if len(rows) == 0:
         return np.empty((0, r), dtype=np.int64)
     try:
-        raw = np.array(rows, dtype=np.int64)
+        raw = np.array(rows)
     except (TypeError, ValueError, OverflowError):
         raw = None
+    if raw is not None and raw.dtype != np.int64:
+        # other integer dtypes widen; floats, strings, objects and uint64 take the per-edge path
+        raw = raw.astype(np.int64) if np.can_cast(raw.dtype, np.int64) else None
     if raw is None or raw.shape != (len(rows), r):
-        # an edge of the wrong length, an id beyond int64, or edges given as iterators
+        # an edge of the wrong length, a non-integer id, an id beyond int64, or edges given as iterators
         rows = [tuple(e) for e in (rows.tolist() if isinstance(rows, np.ndarray) else rows)]
-        k = next((k for k, e in enumerate(rows) if len(e) != r or not all(-(2**63) <= v < 2**63 for v in e)), None)
-        head = _canonical_edges(r, n, rows[:k])  # raises for a faulty edge before row k
+        k = next((k for k, e in enumerate(rows) if len(e) != r or not all(map(_is_id, e))), None)
+        # raises for a faulty edge before row k
+        head = _canonical_edges(r, n, np.array(rows[:k], dtype=np.int64).reshape(-1, r))
         if k is None:
             return head
         if len(rows[k]) != r or len(set(rows[k])) != r:
             raise EdgeArityError(f"edge {rows[k]} must have exactly {r} distinct vertices")
+        if not all(isinstance(v, (int, np.integer)) for v in rows[k]):
+            raise VertexOutOfRangeError(f"edge {rows[k]} has a non-integer vertex id")
         raise VertexOutOfRangeError(f"edge {tuple(sorted(rows[k]))} mentions a vertex outside [0, {n})")
     rows = raw if (raw[:, 1:] > raw[:, :-1]).all() else np.sort(raw, axis=1)
     # rows already in lexicographic order, as the builders emit them, skip the lexsort
@@ -212,6 +221,11 @@ def _canonical_edges(r: int, n: int, edges: Iterable[Iterable[int]]) -> np.ndarr
     if outside[i]:
         raise VertexOutOfRangeError(f"edge {tuple(rows[i].tolist())} mentions a vertex outside [0, {n})")
     raise DuplicateEdgeError(f"duplicate edge {tuple(rows[i].tolist())}")
+
+
+def _is_id(v) -> bool:
+    """Whether v is an integer that fits in int64."""
+    return isinstance(v, (int, np.integer)) and -(2**63) <= v < 2**63
 
 
 def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -376,6 +377,21 @@ class TestVerify:
         res = invoke(runner, "verify", "splits", "8:10", "--format", "csv", "--out", str(out))
         assert res.exit_code == 0
         assert out.read_text().splitlines()[0] == CSV_HEADER
+
+
+def test_version_from_the_package(runner):
+    res = invoke(runner, "--version")
+    assert res.exit_code == 0
+    assert res.output == "hyperq, version 0.1.0\n"
+
+
+def test_pyproject_reads_the_package_version():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+        config = tomllib.load(fh)
+    assert "version" not in config["project"]
+    assert "version" in config["project"]["dynamic"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "hyperq.__version__"}
 
 
 def test_usage_without_args(runner):

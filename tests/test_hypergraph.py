@@ -428,6 +428,21 @@ def test_degree_out_of_range(fano, v):
         fano.degree(v)
 
 
+def test_degree_does_not_build_incidence():
+    # incidence would need a 2**59-slot tuple; numpy refuses such sizes without allocating
+    hg = Hypergraph(3, 2**59, [(0, 1, 2)])
+    assert hg.degree(1) == 1
+    assert hg.degree(5) == 0
+    assert "incidence" not in hg.__dict__
+
+
+def test_incidence_built_from_edges():
+    hg = build_bn(7)[0]
+    assert "edges" not in hg.__dict__
+    assert [len(ids) for ids in hg.incidence] == hg.degrees()
+    assert "edges" in hg.__dict__
+
+
 class TestRandomConnected:
     def test_shape_and_connectivity(self):
         hg = random_connected(8, 3, 10, rng=1)
@@ -517,9 +532,11 @@ def reference_edges(r, n, edges):
     error for the first faulty edge in input order."""
     canonical, seen = [], set()
     for raw in edges:
-        e = tuple(sorted(raw))
-        if len(e) != r or len(set(e)) != r:
+        if len(raw) != r or len(set(raw)) != r:
             raise EdgeArityError(f"edge {tuple(raw)} must have exactly {r} distinct vertices")
+        if not all(isinstance(v, int) for v in raw):
+            raise VertexOutOfRangeError(f"edge {tuple(raw)} has a non-integer vertex id")
+        e = tuple(sorted(raw))
         if e[0] < 0 or e[-1] >= n:
             raise VertexOutOfRangeError(f"edge {e} mentions a vertex outside [0, {n})")
         if e in seen:
@@ -532,15 +549,15 @@ def reference_edges(r, n, edges):
 @st.composite
 def raw_edge_lists(draw):
     """Edge lists on at most 8 vertices: valid edges with permuted rows, plus
-    a few faulty ones (repeated vertices, ids -1 or n, wrong lengths, permuted
-    duplicates) at random positions."""
+    a few faulty ones (repeated vertices, ids -1 or n, non-integer ids, wrong
+    lengths, permuted duplicates) at random positions."""
     r = draw(st.sampled_from((2, 3, 4)))
     n = draw(st.integers(min_value=0, max_value=8))
     rows = []
     if n >= r:
         valid = st.sampled_from(list(combinations(range(n), r))).flatmap(st.permutations)
         rows = draw(st.lists(valid, max_size=8))
-    vertex = st.integers(min_value=-1, max_value=n)
+    vertex = st.one_of(st.integers(min_value=-1, max_value=n), st.sampled_from((0.5, 1.0, "1")))
     bad = st.one_of(st.lists(vertex, min_size=r, max_size=r), st.lists(vertex, max_size=r + 1))
     if rows:
         bad = st.one_of(bad, st.sampled_from(rows).flatmap(st.permutations))
@@ -584,8 +601,32 @@ class TestEdgeArray:
             Hypergraph(3, 5, [(0, 1, 7), (1, 2)])
 
     def test_huge_vertex_id_is_out_of_range(self):
-        with pytest.raises(VertexOutOfRangeError):
+        with pytest.raises(VertexOutOfRangeError, match="outside"):
             Hypergraph(3, 5, [(0, 1, 2**70)])
+        with pytest.raises(VertexOutOfRangeError, match="outside"):
+            Hypergraph(3, 5, np.array([[0, 1, 2**63]], dtype=np.uint64))
+
+    def test_float_id_is_not_truncated(self):
+        with pytest.raises(VertexOutOfRangeError, match=r"edge \(0.5, 1, 2\) has a non-integer vertex id"):
+            Hypergraph(3, 4, [(0.5, 1, 2)])
+
+    def test_float_id_is_not_sorted_in(self):
+        with pytest.raises(VertexOutOfRangeError, match=r"edge \(1.9, 3, 2\) has a non-integer"):
+            Hypergraph(3, 4, [(1.9, 3, 2)])
+
+    def test_float_array_is_rejected(self):
+        with pytest.raises(VertexOutOfRangeError, match="non-integer"):
+            Hypergraph(3, 4, np.array([[0.7, 1, 2]]))
+
+    def test_string_ids_are_rejected(self):
+        with pytest.raises(VertexOutOfRangeError, match=r"edge \('1', '2', '3'\) has a non-integer"):
+            Hypergraph(3, 4, [("1", "2", "3")])
+
+    def test_narrower_integer_dtypes_are_accepted(self):
+        want = Hypergraph(3, 4, [(0, 1, 2), (1, 2, 3)])
+        for dtype in (np.int8, np.uint32, np.uint64):
+            assert Hypergraph(3, 4, np.array([[2, 1, 0], [1, 2, 3]], dtype=dtype)) == want
+        assert Hypergraph(3, 4, [np.array([2, 1, 0], dtype=np.uint64), (1, 2, 3)]) == want
 
     def test_caller_array_not_aliased(self):
         raw = np.array([[0, 1, 2], [1, 2, 3]])
