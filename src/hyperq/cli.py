@@ -70,6 +70,11 @@ def _read_hypergraph(path: str) -> Hypergraph:
         raise _Fail(f"{path}: {exc}", 3) from None
 
 
+def _too_large(path: str, hg: Hypergraph) -> _Fail:
+    """The input-data error for a file whose per-vertex arrays numpy cannot allocate."""
+    return _Fail(f"{path}: not enough memory for the arrays of n={hg.n} vertices", 3)
+
+
 def _write_text(text: str, out: str | None) -> None:
     if out is None:
         click.echo(text, nl=False)
@@ -198,6 +203,8 @@ def cmd_spectral(ctx, input_path, operator, tol, max_iter, fmt, with_vector, out
         res = spectral_radius(hg, _OPERATORS[operator], tol=tol, max_iter=max_iter)
     except ArgumentRangeError as exc:
         raise click.UsageError(str(exc)) from None
+    except MemoryError:
+        raise _too_large(input_path, hg) from None
     report = {
         "operator": _OPERATORS[operator],
         "rho": res.rho,
@@ -232,19 +239,21 @@ def cmd_check(ctx, what, input_path, fmt, out):
     Exit 0 when the input is fano-free / 2-colorable, 1 otherwise.
     """
     hg = _read_hypergraph(input_path)
+    if what == "fano" and hg.r != 3:
+        raise _Fail(f"{input_path}: fano check needs a 3-graph, got r={hg.r}", 3)
+    try:
+        found = _fano_copy(hg) if what == "fano" else two_coloring(hg)
+    except MemoryError:
+        raise _too_large(input_path, hg) from None
     if what == "fano":
-        if hg.r != 3:
-            raise _Fail(f"{input_path}: fano check needs a 3-graph, got r={hg.r}", 3)
-        embedding = _fano_copy(hg)
-        ok = embedding is None
+        ok = found is None
         verdict = "fano-free" if ok else "contains"
-        witness = None if ok else list(embedding.mapping)
+        witness = None if ok else list(found.mapping)
         witness_name = "embedding"
     else:
-        coloring = two_coloring(hg)
-        ok = coloring is not None
+        ok = found is not None
         verdict = "2-colorable" if ok else "not 2-colorable"
-        witness = list(coloring.assignment) if ok else None
+        witness = list(found.assignment) if ok else None
         witness_name = "coloring"
 
     report = {"check": what, "verdict": verdict, "ok": ok, witness_name: witness}

@@ -405,8 +405,16 @@ def parse(text: str) -> Hypergraph:
 
     Lines starting with '#' and blank lines are ignored.  The first
     remaining line must read "r n m"; exactly m edge lines with r vertex
-    ids each must follow.
+    ids each must follow.  A text in serialize's own layout is read as
+    bytes in whole-array steps, any other text line by line; both readers
+    give the same hypergraph, or the same error, for every text.
     """
+    return Hypergraph(*(_read_plain(text) or _read_lines(text)))
+
+
+def _read_lines(text: str) -> tuple[int, int, np.ndarray | list[Edge]]:
+    """The header's r and n and the edges of any text in the format; raises
+    FormatError for the first faulty line."""
     rows = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
     if not rows:
         raise FormatError("empty input: missing header line")
@@ -440,10 +448,67 @@ def parse(text: str) -> Hypergraph:
                 edges.append(tuple(int(tok) for tok in toks))
             except ValueError:
                 raise FormatError(f"non-integer vertex id in line {row!r}") from None
-    return Hypergraph(r, n, edges)
+    return r, n, edges
+
+
+def _read_plain(text: str) -> tuple[int, int, np.ndarray] | None:
+    """The header's r and n and the (m, r) int64 ids of a text in serialize's
+    layout, read with no Python object per id or line: ASCII digits, the
+    header "r n m" and m lines of r ids, one space between ids and a newline
+    after each line, no id longer than 18 digits (so each fits int64).  None
+    for any other text."""
+    if not text.isascii():
+        return None
+    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    # each token ends at a non-digit; with none first, one last and no two in
+    # a row, the tokens are the text's digit runs and none is empty.  gaps
+    # holds one more than the length of each token after the first
+    ends = np.flatnonzero((buf - ord("0")) >= 10)
+    gaps = np.diff(ends)
+    if len(ends) < 3 or ends[-1] != len(buf) - 1 or not (0 < ends[0] <= 18 and 2 <= gaps.min() <= gaps.max() <= 19):
+        return None
+    r, n, m = (int(text[a + 1 : b]) for a, b in zip([-1, *ends[:2].tolist()], ends[:3].tolist()))
+    # the token after which each line ends, and a space after every other one
+    seps = buf[ends]
+    newline = seps == ord("\n")
+    lines = np.count_nonzero(newline)
+    if r < 2 or len(ends) != 3 + m * r or lines != m + 1 or not newline[2::r].all():
+        return None
+    if lines + np.count_nonzero(seps == ord(" ")) != len(ends):
+        return None
+    # Horner's rule over windows as wide as the longest id, each ending at an
+    # id; a window's positions before its id count as 0, also those before
+    # the text's start, which wrap around to its end
+    gaps = gaps[2:]
+    width = int(gaps.max(initial=1)) - 1
+    pos = ends[3:]
+    pos -= width
+    ids = np.zeros(len(pos), dtype=np.int64)
+    for k in range(width, 0, -1):
+        digits = buf[pos] - ord("0")
+        digits *= gaps > k
+        ids *= 10
+        ids += digits
+        pos += 1
+    return r, n, ids.reshape(m, r)
 
 
 def serialize(hg: Hypergraph) -> str:
     """Render the text format; edges appear in lexicographic order."""
-    line = " ".join(["%d"] * hg.r) + "\n"
-    return f"{hg.r} {hg.n} {hg.m}\n" + line * hg.m % tuple(hg.edge_array.ravel().tolist())
+    ids = hg.edge_array.ravel()
+    top = int(ids.max(initial=0))
+    width = len(str(top))
+    # one row per id: its digits right-aligned after zero bytes, then ' ' or
+    # '\n'; the zero bytes are dropped at the end
+    cells = np.zeros((len(ids), width + 1), dtype=np.uint8)
+    cells[:, width] = ord(" ")
+    cells[hg.r - 1 :: hg.r, width] = ord("\n")
+    rest = ids.astype(np.min_scalar_type(top))
+    for col in range(width - 1, -1, -1):
+        digits = rest % 10
+        digits += ord("0")
+        if col < width - 1:
+            digits[rest == 0] = 0  # a position before the id's first digit
+        cells[:, col] = digits
+        rest //= 10
+    return f"{hg.r} {hg.n} {hg.m}\n" + cells.tobytes().replace(b"\0", b"").decode("ascii")

@@ -359,3 +359,18 @@ VERIFY = {
         'extremal,8,samples=3 seed=5,35.28400549541668,36.0,true\n'
     )),
 }
+
+# `GEN` holds the exit code and the stdout sha256 of `hyperq gen`, recorded
+# before serialize wrote its text through one byte buffer.  It is keyed by
+# the gen arguments; `expansion` reads the 2-graph K_4 from `GEN_K4`.
+GEN_K4 = '2 4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n'
+
+GEN = {
+    'bn 8': (0, 'f2a0f95ab235cf3684cff5215300ae707ff4a4ccced626362c4fe1bc6ad86470'),
+    'bn 61': (0, '66a2f789aa1740e9bc85259dea6702dc8fe8e49b9fc0227602e98b71c0fb2b62'),
+    'fano': (0, 'a5082f5383281bd22f7229f5ac62db9b0d6908d164114fd89a079b079f81d770'),
+    'complete 7 3': (0, '3df4ce2b3f914af75152fcacbf8b686ed9a5ab96375f200c7dfd8763cd69f47e'),
+    'two-part 5 4': (0, '59a66443cb24fbc0916d82f07e4c6e2badd05605b1110433bb60229945714ff0'),
+    'expansion K4 3': (0, '65f97fe1068321dbef08ad0f10a0cc1bffcac4a638aa2f79fee7288ad2ad4805'),
+    'expansion K4 4': (0, 'c4858c85c5595b883302eb937841f17b8087dbe16e1adf34355888fcad87f428'),
+}

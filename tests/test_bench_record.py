@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 _spec = importlib.util.spec_from_file_location(
     "bench_record", Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
 )
@@ -11,8 +13,11 @@ bench_record = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_record)
 
 
-def _run(seed, side, ops, correct=True, failed=0, returncode=0):
-    metrics = {"throughput_ops_s": {"value": ops, "unit": "1/s"}}
+THROUGHPUT = [{"name": "throughput_ops_s", "better": "higher", "bound": 0.25}]
+
+
+def _run(seed, side, ops, correct=True, failed=0, returncode=0, setup_s=0.15):
+    metrics = {"throughput_ops_s": {"value": ops, "unit": "1/s"}, "setup_s": {"value": setup_s, "unit": "s"}}
     result = {"correct": correct, "attempted": 10, "failed": failed, "metrics": metrics}
     return {"workload": "w", "seed": seed, "side": side, "returncode": returncode, "result": result}
 
@@ -29,7 +34,7 @@ def test_unsound_pairs_are_excluded():
         _run(4, "change", 30.0),
         _run(5, "parent", 11.0),  # its change run has not happened yet
     ]
-    summary = bench_record._summary(runs, {"throughput_ops_s": "higher"})["w"]
+    summary = bench_record._summary(runs, THROUGHPUT)["w"]
     assert summary["excluded_pairs"] == 3
     assert summary["throughput_ops_s"]["change_wins"] == "1/1"
     assert summary["throughput_ops_s"]["change"]["median"] == 20.0
@@ -37,7 +42,28 @@ def test_unsound_pairs_are_excluded():
 
 def test_no_sound_pair_gives_no_metrics():
     runs = [_run(1, "parent", 10.0), _run(1, "change", 20.0, correct=False)]
-    assert bench_record._summary(runs, {"throughput_ops_s": "higher"}) == {"w": {"excluded_pairs": 1}}
+    assert bench_record._summary(runs, THROUGHPUT) == {"w": {"excluded_pairs": 1}}
+
+
+def test_worse_by_and_past_bound():
+    # a throughput gain next to a set-up time 27 % worse than the parent's
+    runs = [
+        *(_run(seed, "parent", 28.6, setup_s=0.126) for seed in (1, 2, 3)),
+        *(_run(seed, "change", 44.4, setup_s=0.160) for seed in (1, 2, 3)),
+    ]
+    metrics = THROUGHPUT + [{"name": "setup_s", "better": "lower", "bound": 0.25}]
+    summary = bench_record._summary(runs, metrics)["w"]
+    assert summary["throughput_ops_s"]["worse_by"] == pytest.approx((28.6 - 44.4) / 28.6)
+    assert summary["throughput_ops_s"]["past_bound"] is False
+    assert summary["setup_s"]["worse_by"] == pytest.approx(0.034 / 0.126)
+    assert summary["setup_s"]["past_bound"] is True
+
+
+@pytest.mark.parametrize("better,change,past", [("lower", 1.28, True), ("lower", 1.2, False), ("higher", 0.72, True), ("higher", 0.8, False)])
+def test_past_bound_in_the_worse_direction(better, change, past):
+    runs = [_run(1, "parent", 1.0), _run(1, "change", change)]
+    metric = {"name": "throughput_ops_s", "better": better, "bound": 0.25}
+    assert bench_record._summary(runs, [metric])["w"]["throughput_ops_s"]["past_bound"] is past
 
 
 def test_criteria_times_read_from_durations_table():

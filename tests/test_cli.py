@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from hyperq.containment import Embedding, contains_subgraph
 from hyperq.hypergraph import Hypergraph, build_bn, build_fano, parse, serialize
 from hyperq.reporting import CSV_HEADER
 
-from cli_golden import CHECK, VERIFY
+from cli_golden import CHECK, GEN, GEN_K4, VERIFY
 from spectral_golden import SPECTRAL_B61
 
 
@@ -209,6 +210,16 @@ def test_check_report_bytes(runner, golden_hosts, key):
     assert res.stdout_bytes == stdout.encode()
 
 
+@pytest.mark.parametrize("key", sorted(GEN))
+def test_gen_stdout_digest(runner, tmp_path, key):
+    args = key.split()
+    if args[0] == "expansion":
+        (tmp_path / "K4").write_text(GEN_K4)
+        args[1] = str(tmp_path / "K4")
+    res = invoke(runner, "gen", *args)
+    assert (res.exit_code, hashlib.sha256(res.stdout_bytes).hexdigest()) == GEN[key]
+
+
 @pytest.mark.parametrize("key", sorted(VERIFY))
 def test_verify_report_bytes(runner, key):
     args, fmt = key
@@ -216,6 +227,16 @@ def test_verify_report_bytes(runner, key):
     code, stdout = VERIFY[key]
     assert res.exit_code == code
     assert res.stdout_bytes == stdout.encode()
+
+
+@pytest.mark.parametrize("command", [["spectral"], ["check", "fano"], ["check", "two-color"]])
+def test_vertex_arrays_beyond_memory_exit_3(runner, tmp_path, command):
+    # numpy refuses an array of 2**59 entries before allocating any of it
+    path = tmp_path / "wide.txt"
+    path.write_text(f"3 {2**59} 1\n0 1 2\n")
+    res = invoke(runner, *command, str(path))
+    assert res.exit_code == 3
+    assert res.stderr == f"Error: {path}: not enough memory for the arrays of n={2**59} vertices\n"
 
 
 class TestCheck:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperq import hypergraph
 from hyperq.errors import (
     ArgumentRangeError,
     DuplicateEdgeError,
@@ -406,6 +407,44 @@ class TestTextFormat:
         assert (again.r, again.n, again.edges) == (hg.r, hg.n, hg.edges)
 
 
+def reference_serialize(hg):
+    """The %-format serialize that the byte-buffer one replaced, kept as its reference."""
+    line = " ".join(["%d"] * hg.r) + "\n"
+    return f"{hg.r} {hg.n} {hg.m}\n" + line * hg.m % tuple(hg.edge_array.ravel().tolist())
+
+
+# ids on either side of a change in digit count, up to the largest id a
+# Hypergraph allows (n < 2**60), which has 19 digits; parse reads ids of up
+# to 18 digits as bytes
+BOUNDARY_IDS = [9, 10, 99, 100, 10**17, 10**18 - 2, 10**18 - 1, 2**60 - 2]
+
+
+@st.composite
+def wide_hypergraphs(draw):
+    """Hypergraphs with r = 2..5 whose ids mix small ones and digit-count
+    boundaries, n = 0 and m = 0 included."""
+    r = draw(st.integers(min_value=2, max_value=5))
+    vertex = st.one_of(st.integers(min_value=0, max_value=120), st.sampled_from(BOUNDARY_IDS))
+    rows = st.lists(vertex, min_size=r, max_size=r, unique=True)
+    edges = draw(st.lists(rows, max_size=6, unique_by=lambda e: tuple(sorted(e))))
+    low = max((max(e) + 1 for e in edges), default=0)
+    n = draw(st.sampled_from([low, max(low, 10**18 - 1), 2**60 - 1]))
+    return Hypergraph(r, n, edges)
+
+
+class TestSerializeMatchesReference:
+    @given(st.one_of(wide_hypergraphs(), hypergraphs(rs=(2, 3, 4, 5))))
+    @settings(max_examples=150)
+    def test_drawn_hypergraphs(self, hg):
+        assert serialize(hg).encode() == reference_serialize(hg).encode()
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [0, 10, 2**60 - 1])
+    def test_no_edges(self, r, n):
+        hg = Hypergraph(r, n, [])
+        assert serialize(hg) == reference_serialize(hg) == f"{r} {n} 0\n"
+
+
 class TestDeleteVertex:
     def test_reindexing(self):
         hg = Hypergraph(3, 5, [(0, 1, 2), (1, 2, 3), (2, 3, 4)])
@@ -729,6 +768,55 @@ def hypergraph_texts(draw):
     return text
 
 
+# one change each to a text that serialize wrote
+PLAIN_MUTATIONS = [
+    "an id moved to the line before",  # r + 1 ids next to r - 1, still m * r in all
+    "19-digit id",
+    "leading zeros",
+    "no final newline",
+    "double space",
+    "leading space",
+    "trailing space",
+    "crlf",
+    "blank line",
+    "m off by one",
+]
+
+
+@st.composite
+def serialized_texts(draw):
+    """serialize's output for a drawn hypergraph with at most one of
+    PLAIN_MUTATIONS, and the mutation (None for none)."""
+    hg = draw(st.one_of(wide_hypergraphs(), hypergraphs(rs=(2, 3, 4, 5))))
+    lines = serialize(hg).split("\n")[:-1]
+    mutation = draw(st.sampled_from([None, *PLAIN_MUTATIONS]))
+    i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+    toks = lines[i].split(" ")
+    j = draw(st.integers(min_value=0, max_value=len(toks) - 1))
+    if mutation == "an id moved to the line before" and 0 < i < len(lines) - 1:
+        after = lines[i + 1].split(" ")
+        lines[i : i + 2] = [f"{lines[i]} {after[0]}", " ".join(after[1:])]
+    elif mutation == "19-digit id":
+        toks[j] = draw(st.sampled_from([str(10**18), toks[j].zfill(19)]))
+    elif mutation == "leading zeros":
+        toks[j] = "0" * draw(st.integers(min_value=1, max_value=3)) + toks[j]
+    elif mutation == "double space":
+        toks.insert(max(j, 1), "")
+    elif mutation == "leading space":
+        toks[0] = " " + toks[0]
+    elif mutation == "trailing space":
+        toks[-1] += " "
+    elif mutation == "blank line":
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), "")
+    elif mutation == "m off by one":
+        lines[0] = f"{hg.r} {hg.n} {hg.m + draw(st.sampled_from([1, -1]))}"
+    if mutation in ("19-digit id", "leading zeros", "double space", "leading space", "trailing space"):
+        lines[i] = " ".join(toks)
+    end = "\r\n" if mutation == "crlf" else "\n"
+    text = "".join(line + end for line in lines)
+    return (text[:-1] if mutation == "no final newline" else text), mutation
+
+
 class TestParseMatchesReference:
     @staticmethod
     def check(text):
@@ -763,8 +851,60 @@ class TestParseMatchesReference:
             '"0" 1 2',
             "0 1",
             "0 1 2 3",
+            "0\t1 2",  # one separator byte that is neither a space nor a newline
+            "0,1 2",
+            "0#1 2",
+            "0\r1 2",
         ],
     )
     def test_named_cases(self, body):
         self.check(f"3 5 2\n{body}\n1 2 3\n")
         self.check(f"3 5 2\n1 2 3\n{body}\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "3 5 1\n0 1 2\n7",  # an unterminated id after a whole text
+            "3 5 2\n0\n1 2\n1 2 3\n",  # a line broken in two, m * r ids in all
+            "3 5 2\n0 1 2 3\n1 2\n",  # r + 1 ids next to r - 1
+            "3 5 2\n0 1 2\n0 1 2\n",  # an error of the constructor
+            "0 5 0\n",  # r < 2
+            "0 5 3\n",
+            "1 5 1\n3\n",
+        ],
+    )
+    def test_plain_texts(self, text):
+        self.check(text)
+
+    @given(serialized_texts())
+    @settings(max_examples=200)
+    def test_serialized_texts(self, case):
+        text, mutation = case
+        self.check(text)
+        if mutation is None:
+            # every id fits in 18 digits exactly when n does
+            header = text.split("\n", 1)[0]
+            assert (hypergraph._read_plain(text) is None) == (len(header.split(" ")[1]) > 18)
+
+
+def test_serialized_text_takes_the_byte_path(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("serialized text left the byte path")
+
+    monkeypatch.setattr(hypergraph.np, "loadtxt", refuse)
+    monkeypatch.setattr(hypergraph, "_read_lines", refuse)
+    hg = build_bn(20)[0]
+    assert parse(serialize(hg)) == hg
+
+
+def test_parse_memory_peak():
+    text = serialize(build_bn(91)[0])
+    tracemalloc.start()
+    try:
+        hg = parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (hg.n, hg.m) == (91, 92115)
+    # the line reader peaked at 11.0 MiB on this text
+    assert peak < 11 * 2**20

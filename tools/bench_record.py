@@ -9,7 +9,10 @@ i and the change first on odd i; each run is
 `python3 perfbench/run.py` from that checkout, unchanged, for the
 `run_seconds` that BENCHMARK.json sets, and its exit code and last JSON line
 are kept.  A pair in which either run exited non-zero, was not correct or
-failed a query is left out of the summary and counted as excluded.  Then one
+failed a query is left out of the summary and counted as excluded.  For each
+end-to-end metric the summary gives `worse_by`, the change's median move in
+the metric's worse direction as a share of the parent's median, and
+`past_bound`, whether that exceeds the metric's bound.  Then one
 `--trace 1` run per side and workload, and three tier-1 `pytest -q` runs per
 side, the parent first in the first and third round, each timed from outside,
 with each acceptance criterion's call time read off pytest's `--durations`
@@ -83,10 +86,13 @@ def _quartiles(values: list[float]) -> dict:
     return {"median": q2, "q1": q1, "q3": q3, "min": min(values), "max": max(values), "n": len(values)}
 
 
-def _summary(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per workload and metric: each side's quartiles over the whole sound
-    pairs, the pairs the change won, and the median gap over the parent's
-    IQR; pairs with an unsound run are only counted."""
+def _summary(runs: list[dict], metrics: list[dict]) -> dict:
+    """Per workload and end-to-end metric of BENCHMARK.json: each side's
+    quartiles over the whole sound pairs, the pairs the change won, the
+    median gap over the parent's IQR, how much worse the change's median is
+    than the parent's as a share of the parent's (negative when better), and
+    whether that exceeds the metric's bound; pairs with an unsound run are
+    only counted."""
     out: dict = {}
     for wl in sorted({r["workload"] for r in runs}):
         pairs: dict[int, dict] = {}
@@ -96,17 +102,22 @@ def _summary(runs: list[dict], better: dict[str, str]) -> dict:
         whole = [p for p in pairs.values() if len(p) == 2]
         sound = [{side: r["result"]["metrics"] for side, r in p.items()} for p in whole if all(map(_sound, p.values()))]
         out[wl] = {"excluded_pairs": len(whole) - len(sound)}
-        for metric, sign in better.items() if sound else ():
+        for spec in metrics if sound else ():
+            metric, sign = spec["name"], spec["better"]
             parent = [p["parent"][metric]["value"] for p in sound]
             change = [p["change"][metric]["value"] for p in sound]
             wins = sum((c > q) if sign == "higher" else (c < q) for q, c in zip(parent, change))
             pq, cq = _quartiles(parent), _quartiles(change)
             iqr = pq["q3"] - pq["q1"]
+            rise = (cq["median"] - pq["median"]) / pq["median"] if pq["median"] else None
+            worse_by = None if rise is None else rise if sign == "lower" else -rise
             out[wl][metric] = {
                 "parent": pq,
                 "change": cq,
                 "change_wins": f"{wins}/{len(sound)}",
                 "median_gap_over_parent_iqr": abs(cq["median"] - pq["median"]) / iqr if iqr else None,
+                "worse_by": worse_by,
+                "past_bound": worse_by is not None and worse_by > spec["bound"],
             }
     return out
 
@@ -119,13 +130,12 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     host = {"nproc": os.cpu_count(), "python": platform.python_version(), "machine": platform.machine()}
     seconds = spec["run_seconds"]
     record: dict = {"host": host, "seconds": seconds, "runs": [], "traces": [], "tier1": {}, "summary": {}}
 
     def save():
-        record["summary"] = _summary(record["runs"], better)
+        record["summary"] = _summary(record["runs"], spec["end_to_end"])
         args.out.write_text(json.dumps(record, indent=1) + "\n")
 
     for workload in (w["name"] for w in spec["workloads"]):
