@@ -16,8 +16,17 @@ visits, never in wall time (`_race`), and answer from the first
 certificate.  Every answer is the one the deciding procedure gives alone:
 the same verdict, the same coloring and the same embedding.
 `contains_subgraph` runs the embedding search alone.
+
+The same fact prunes the embedding search of any pattern with no proper
+2-coloring: under any 2-coloring of the host, each copy has a monochromatic
+host edge.  A search that outlasts its first tick colors the host by a
+greedy descent (`_monochromatic_vertices`) and from then on drops every
+placement after which no pattern edge can still map onto a monochromatic
+edge.  The prune is exact: it cuts only branches without embeddings, so
+the embeddings and their order do not change.
 """
 
+import heapq
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -69,6 +78,17 @@ def contains_subgraph(host: Hypergraph, pattern: Hypergraph) -> Embedding | None
     conditions phi(a) < phi(b) (see `_symmetry_conditions`).  The witness
     is still deterministic, and when the identity map is an embedding the
     conditions admit it.
+
+    Coloring prune (the argument of Furedi & Simonovits, see the module
+    docstring): when the pattern has no proper 2-coloring, each copy holds a
+    pattern edge f mapped onto an edge that is monochromatic under any fixed
+    2-coloring of the host.  After its first tick, the search takes a near
+    2-coloring with few monochromatic edges, and a placement survives only
+    while some pattern edge f and color c remain such that c has a
+    monochromatic edge and every placed vertex of f lies on one.  On B_n plus
+    one in-part edge this leaves the copies through that edge; on a properly
+    colored host nothing survives, which proves it free of the pattern.  A
+    search that ends inside its first tick pays nothing for the prune.
     """
     if host.r != pattern.r:
         raise UniformityMismatchError(f"host is {host.r}-uniform, pattern {pattern.r}-uniform")
@@ -98,6 +118,86 @@ def _symmetry_conditions(pattern: Hypergraph) -> tuple[tuple[int, int], ...]:
             if next(_embeddings(pattern, pattern, (), {**fixed, v: u}), None) is not None:
                 conditions.append((v, u))
     return tuple(conditions)
+
+
+@lru_cache(maxsize=64)
+def _colorable(pattern: Hypergraph) -> bool:
+    """Whether pattern has a proper 2-coloring, by `_colorings`."""
+    return any(found is not None for found in _colorings(pattern))
+
+
+def _bitmask(flags: np.ndarray) -> int:
+    """The host vertices v with flags[v], as a bitmask."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def _monochromatic_vertices(host: Hypergraph) -> list[int]:
+    """V(M_c) for each color c, 0 then 1, that has a monochromatic host edge
+    under a near 2-coloring of host: the bitmask of the vertices on such an
+    edge.  An empty list means the coloring is proper.
+
+    The coloring comes from a greedy 1-flip descent: every vertex starts with
+    label 0, then the vertex whose flip removes the most monochromatic edges
+    is flipped, lowest id first on ties, until no flip removes any.  Each
+    flip removes at least one, so there are at most m flips.  A flip of v
+    updates only the gains of the vertices on v's edges, read off a CSR
+    incidence, so the descent costs one sort of the r*m vertex ids to set up
+    and O(r*deg v) per flip; a heap holds each positive gain, and an entry
+    whose gain has changed since is skipped.
+    """
+    edges, r = host.edge_array, host.r
+    flat = edges.ravel()
+    # the edges at v are at[offsets[v]:offsets[v + 1]]
+    at = np.argsort(flat) // r
+    offsets = np.zeros(host.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat, minlength=host.n), out=offsets[1:])
+    labels = np.zeros(host.n, dtype=np.int64)
+    ones = np.zeros(host.m, dtype=np.int64)  # per edge, its vertices labelled 1
+    slot = np.zeros(host.n, dtype=np.int64)  # scratch: a vertex's position in one flip's members
+
+    # share[2c + l]: the gain that an edge with c ones gives a member labelled l,
+    # whether the edge is monochromatic (0 or r ones) now less whether it is
+    # once that member flips
+    c = np.arange(r + 1)
+    monochromatic = (c % r == 0).astype(np.int64)
+    share = (monochromatic[:, None] - monochromatic[np.clip(c[:, None] + [1, -1], 0, r)]).ravel()
+
+    def shares(ones_e: np.ndarray, members: np.ndarray) -> np.ndarray:
+        return share[2 * ones_e[:, None] + labels[members]]
+
+    # with every label 0, each edge at v is monochromatic and stops being so when v flips
+    gain = offsets[1:] - offsets[:-1]
+    positive = np.flatnonzero(gain)
+    heap = list(zip((-gain[positive]).tolist(), positive.tolist()))
+    heapq.heapify(heap)
+    while heap:
+        g, v = heapq.heappop(heap)
+        if -g != gain[v]:
+            continue
+        e = at[offsets[v] : offsets[v + 1]]
+        members = np.take(edges, e, axis=0)
+        before = shares(ones[e], members)
+        ones[e] += 1 - 2 * labels[v]
+        labels[v] ^= 1
+        delta = (shares(ones[e], members) - before).ravel()
+        # slot[u] ends as one of u's positions in members, whichever write
+        # lands last, so the bincount sums u's changes there in O(r*deg v)
+        members = members.ravel()
+        slot[members] = np.arange(len(members))
+        sums = np.bincount(slot[members], delta, minlength=len(members))
+        moved = np.flatnonzero(sums)
+        changed = members[moved]
+        gain[changed] += sums[moved].astype(np.int64)
+        for u, gain_u in zip(changed.tolist(), gain[changed].tolist()):
+            if gain_u > 0:
+                heapq.heappush(heap, (-gain_u, u))
+    insides = []
+    for color in (ones == 0, ones == r):
+        if color.any():
+            inside = np.zeros(host.n, dtype=bool)
+            inside[edges[color]] = True
+            insides.append(_bitmask(inside))
+    return insides
 
 
 def _completion_index(host: Hypergraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -165,7 +265,9 @@ def _search(
     host vertices are bitmasks (see `contains_subgraph`); a completer mask
     is built the first time the search reads its key and kept until the
     generator ends or is closed, since one mask per key would cost up to
-    n/8 bytes each.  The completion index is built on the first `next`.
+    n/8 bytes each.  The completion index is built on the first `next`, and
+    the coloring prune's masks (see `contains_subgraph`) on the first `next`
+    after the first tick, when the pattern has no proper 2-coloring.
 
     Known limit: a mask's size follows the highest completer id, not the
     number of completers, so on a host whose ids spread over a large n the
@@ -211,18 +313,42 @@ def _search(
         return mask
 
     host_deg = np.bincount(host.edge_array.ravel(), minlength=host.n)
-    at_least = {
-        d: int.from_bytes(np.packbits(host_deg >= d, bitorder="little").tobytes(), "little") for d in set(pat_deg)
-    }
+    at_least = {d: _bitmask(host_deg >= d) for d in set(pat_deg)}
     del host_deg  # n entries: free them before the search starts
     assign = [-1] * pattern.n
     nodes = 0
+    # the coloring prune, switched on after the first tick (see `contains_subgraph`):
+    # V(M_c) for each color c with a monochromatic host edge, and per pattern
+    # vertex the bitmask of the pattern edges through it
+    insides: list[int] | None = None
+    touching = [0] * pattern.n
+
+    def placeable(k: int) -> int:
+        """The host vertices that order[k] may take so that some pattern edge
+        can still map onto a monochromatic edge: -1 for all of them."""
+        keep = 0
+        for inside in insides:
+            # the pattern edges whose placed vertices all lie on an edge of this color
+            alive = (1 << pattern.m) - 1
+            for v in order[:k]:
+                if not inside >> assign[v] & 1:
+                    alive &= ~touching[v]
+            if alive & ~touching[order[k]]:
+                return -1
+            if alive:
+                keep |= inside
+        return keep
 
     def extend(k: int, used: int, domains: list[int]) -> Iterator[tuple[int, ...] | None]:
-        nonlocal nodes
+        nonlocal nodes, insides
         nodes += 1
         if not nodes % _SEARCH_TICK:
             yield None
+            if nodes == _SEARCH_TICK and not _colorable(pattern):
+                insides = _monochromatic_vertices(host)
+                for i, f in enumerate(pattern.edges):
+                    for v in f:
+                        touching[v] |= 1 << i
         if k == pattern.n:
             yield tuple(assign)
             return
@@ -235,7 +361,13 @@ def _search(
             return
         cand = domains[p] & ~used & ((1 << hi) - (1 << (lo + 1)))
         fixed = [(q, tuple([assign[v] for v in earlier])) for q, earlier in pending[k]]
+        pruned = False
         while cand:
+            if insides is not None and not pruned:
+                # once per level, also at the levels whose loop was running when the prune went on
+                pruned = True
+                cand &= placeable(k)
+                continue
             low = cand & -cand
             cand ^= low
             h = assign[p] = low.bit_length() - 1
@@ -265,7 +397,9 @@ def is_fano_free(hg: Hypergraph) -> bool:
     2-coloring proves the host free, since the Fano plane is not
     2-colorable, and an embedding proves that it is not.  When the coloring
     search ends first, without a coloring, the embedding search runs on
-    alone to its end.
+    alone to its end.  That search uses the same fact through the coloring
+    prune (see `contains_subgraph`), so on a host that a near 2-coloring
+    leaves with few monochromatic edges it looks only at copies through them.
     """
     if hg.r != 3:
         raise UniformityMismatchError(f"Fano-freeness needs a 3-uniform hypergraph, got r={hg.r}")

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hyperq import containment
 from hyperq.containment import (
     Embedding,
     _embeddings,
     _fano_copy,
+    _search,
     _symmetry_conditions,
     contains_subgraph,
     is_fano_free,
@@ -272,6 +274,58 @@ def bn_subgraphs(draw):
     return Hypergraph(3, n, edges)
 
 
+def with_edges(hg, extra):
+    return Hypergraph(hg.r, hg.n, np.vstack([hg.edge_array, np.array(extra, dtype=np.int64).reshape(-1, hg.r)]))
+
+
+def build_defect(n, a):
+    """The complete two-part 3-graph on A = {0..a-1} and B = {a..n-1}, plus the
+    four triples of K = {a..a+3}, less every triple of two A-vertices from one
+    half of A and a K-vertex.  Under (A, B) only the K-triples are
+    monochromatic, a Fano copy holds one of them as a line, and the four
+    points off that line would need a triangle among the A-pairs that keep
+    their triples with K; those pairs cross the halves, so there is none and
+    the host is Fano-free."""
+    half, k = a // 2, set(range(a, a + 4))
+    edges = []
+    for t in combinations(range(n), 3):
+        in_a = [v for v in t if v < a]
+        if len(in_a) == 2 and k & set(t) and (in_a[0] < half) == (in_a[1] < half):
+            continue
+        if 0 < len(in_a) < 3 or set(t) <= k:
+            edges.append(t)
+    return Hypergraph(3, n, edges)
+
+
+@st.composite
+def near_two_part_hosts(draw):
+    """Hosts that a 2-coloring leaves with few monochromatic edges, where the
+    search runs past its first tick: B_n (10 <= n <= 16) plus one or two
+    in-part edges, or D_{n,a} (9 <= n <= 12, see `build_defect`)."""
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=9, max_value=12))
+        return build_defect(n, draw(st.integers(min_value=4, max_value=n - 4)))
+    n = draw(st.integers(min_value=10, max_value=16))
+    a = (n + 1) // 2
+    in_part = list(combinations(range(a), 3)) + list(combinations(range(a, n), 3))
+    extra = draw(st.lists(st.sampled_from(in_part), min_size=1, max_size=2, unique=True))
+    return with_edges(build_bn(n)[0], extra)
+
+
+@st.composite
+def near_bipartite_graphs(draw):
+    """A complete bipartite graph on up to 10 vertices plus one or two edges
+    inside its parts, with an odd cycle as the pattern: a graph search that
+    runs past its first tick on a pattern with no proper 2-coloring."""
+    a = draw(st.integers(min_value=2, max_value=5))
+    n = a + draw(st.integers(min_value=2, max_value=5))
+    inside = list(combinations(range(a), 2)) + list(combinations(range(a, n), 2))
+    extra = set(draw(st.lists(st.sampled_from(inside), min_size=1, max_size=2)))
+    host = Hypergraph(2, n, [(u, v) for u in range(a) for v in range(a, n)] + list(extra))
+    k = draw(st.sampled_from((3, 5)))
+    return host, Hypergraph(2, k, [(i, (i + 1) % k) for i in range(k)])
+
+
 class TestEmbeddingType:
     def test_valid(self, fano):
         assert Embedding(tuple(range(7))).is_valid_for(build_complete(7, 3), fano)
@@ -424,6 +478,112 @@ class TestSearchAgainstReference:
         assert is_fano_free(build_bn(16)[0]) is True
 
 
+def reference_monochromatic_vertices(hg):
+    """`_monochromatic_vertices` with every gain counted afresh before each
+    flip: the largest positive gain is flipped, lowest id first on ties."""
+    labels = [0] * hg.n
+
+    def monochromatic(e):
+        return len({labels[v] for v in e}) == 1
+
+    def at(v):
+        return sum(monochromatic(e) for e in hg.edges if v in e)
+
+    while True:
+        gains = []
+        for v in range(hg.n):
+            before = at(v)
+            labels[v] ^= 1
+            gains.append(before - at(v))
+            labels[v] ^= 1
+        best = max(range(hg.n), key=lambda v: (gains[v], -v), default=None)
+        if best is None or gains[best] <= 0:
+            break
+        labels[best] ^= 1
+    masks = []
+    for c in (0, 1):
+        inside = {v for e in hg.edges if monochromatic(e) and labels[e[0]] == c for v in e}
+        if inside:
+            masks.append(sum(1 << v for v in inside))
+    return masks
+
+
+class TestColoringPrune:
+    """The prune by a near 2-coloring of the host, which a search of a pattern
+    with no proper 2-coloring switches on after its first tick, keeps every
+    embedding and their order; it never fires for 2-colorable patterns."""
+
+    @given(hypergraphs(max_n=9, rs=(2, 3, 4), max_m=30) | bn_subgraphs())
+    @settings(max_examples=50, deadline=None)
+    def test_descent_matches_reference(self, hg):
+        assert containment._monochromatic_vertices(hg) == reference_monochromatic_vertices(hg)
+
+    @given(near_two_part_hosts())
+    @settings(max_examples=15, deadline=None)
+    def test_same_fano_embeddings_in_same_order(self, fano, host):
+        conditions = _symmetry_conditions(fano)
+        assert list(_embeddings(host, fano, conditions)) == list(reference_embeddings(host, fano, conditions))
+
+    @pytest.mark.parametrize("a", [4, 5])
+    def test_defect_hosts_are_fano_free(self, fano, a):
+        # a Fano-free host on 9 vertices costs the oracle about a second
+        host = build_defect(9, a)
+        assert is_fano_free(host) is True and not brute_force_contains(host, fano)
+        assert two_coloring(host) is None
+
+    @given(near_bipartite_graphs())
+    @settings(max_examples=40, deadline=None)
+    def test_same_odd_cycle_embeddings_in_same_order(self, problem):
+        host, cycle = problem
+        conditions = _symmetry_conditions(cycle)
+        assert list(_embeddings(host, cycle, conditions)) == list(reference_embeddings(host, cycle, conditions))
+
+    @given(bn_subgraphs(), st.sampled_from(["k4", "loose path"]))
+    @settings(max_examples=30, deadline=None)
+    def test_colorable_patterns_are_not_pruned(self, host, kind):
+        # hosts with few monochromatic edges, where a prune wrongly switched
+        # on would cut the embeddings that use no in-part edge
+        pattern = build_complete(4, 3) if kind == "k4" else Hypergraph(3, 5, [(0, 1, 2), (2, 3, 4)])
+        conditions = _symmetry_conditions(pattern)
+        assert list(_embeddings(host, pattern, conditions)) == list(reference_embeddings(host, pattern, conditions))
+        assert (contains_subgraph(host, pattern) is not None) == brute_force_contains(host, pattern)
+
+    @pytest.mark.parametrize("n, edge", [(20, (7, 8, 9)), (30, (11, 12, 14))])
+    def test_witness_within_two_ticks(self, fano, n, edge):
+        # without the prune the search pays 296 and 1,674 ticks before its witness
+        host = with_edges(build_bn(n)[0], [edge])
+        search = _search(host, fano, _symmetry_conditions(fano))
+        ticks = 0
+        while (found := next(search)) is None:
+            ticks += 1
+        assert ticks <= 2 and found == contains_subgraph(host, fano).mapping
+
+    def test_no_coloring_within_the_first_tick(self, fano, monkeypatch):
+        calls = []
+        descent = containment._monochromatic_vertices
+        monkeypatch.setattr(containment, "_monochromatic_vertices", lambda host: calls.append(host) or descent(host))
+        for n, edges in [(68, [(0, 1, 5), (34, 35, 37)]), (80, [(0, 1, 9), (40, 41, 42)])]:
+            base = build_bn(n)[0]
+            for edge in edges:
+                host = with_edges(base, [edge])
+                assert is_fano_free(host) is False and two_coloring(host) is None
+                assert contains_subgraph(host, fano) is not None
+        for n in (9, 10, 11):
+            host = build_bn(n)[0]
+            assert is_fano_free(host) is True and two_coloring(host) is not None
+        assert calls == []
+        # and it runs once for a search that goes on past its first tick
+        assert contains_subgraph(with_edges(build_bn(20)[0], [(7, 8, 9)]), fano) is not None
+        assert len(calls) == 1
+
+    def test_proper_coloring_ends_the_search(self, fano):
+        # the descent 2-colors B_n properly, so no pattern edge can be
+        # monochromatic and the search ends at its first tick
+        host = build_bn(40)[0]
+        assert containment._monochromatic_vertices(host) == []
+        assert sum(found is None for found in _search(host, fano, _symmetry_conditions(fano))) <= 2
+
+
 class TestFanoFree:
     @pytest.mark.parametrize("n", range(7, 13))
     def test_balanced_two_part_is_free(self, n):
@@ -555,7 +715,7 @@ class TestRace:
 
     def test_pair_link_host_has_neither_certificate(self, fano):
         # K_7^3 minus the five triples through {0, 1}: every pair of Fano points
-        # lies on a line, so the host is Fano-free, and one colour holds four
+        # lies on a line, so the host is Fano-free, and one color holds four
         # vertices, which span an edge.  Neither procedure can stop early.
         host = Hypergraph(3, 7, [e for e in combinations(range(7), 3) if not {0, 1} <= set(e)])
         assert host.m == 30
