@@ -26,7 +26,6 @@ edge.  The prune is exact: it cuts only branches without embeddings, so
 the embeddings and their order do not change.
 """
 
-import heapq
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -60,9 +59,9 @@ def contains_subgraph(host: Hypergraph, pattern: Hypergraph) -> Embedding | None
     Backtracks over pattern vertices in a static order (descending pattern
     degree, ties by id), trying each level's candidates in ascending host
     id.  A candidate set is a Python int used as a bitmask over host ids:
-    one AND of the vertex's domain, the complement of the used images, and
-    the interval its symmetry conditions allow.  A domain starts as the
-    host vertices whose degree is at least the pattern vertex's.
+    one AND of the vertex's domain and the complement of the used images.
+    A domain starts as the host vertices whose degree is at least the
+    pattern vertex's, and every limit on an image is an AND into it.
 
     Forward checking (Haralick & Elliott, Artif. Intell. 14, 1980): once a
     pattern edge has a single unplaced vertex q, q's domain is cut to the
@@ -75,9 +74,12 @@ def contains_subgraph(host: Hypergraph, pattern: Hypergraph) -> Embedding | None
     Symmetry breaking (Grochow & Kellis, RECOMB 2007) makes the search
     visit each orbit of embeddings under Aut(pattern) once: the witness is
     the first assignment in search order that satisfies the pattern's
-    conditions phi(a) < phi(b) (see `_symmetry_conditions`).  The witness
-    is still deterministic, and when the identity map is an embedding the
-    conditions admit it.
+    conditions phi(a) < phi(b) (see `_symmetry_conditions`).  When the
+    earlier-placed vertex of a condition takes its image, the later one's
+    domain keeps only the ids on the allowed side, so forward checking also
+    cuts the branches that the conditions leave dead.  The witness is still
+    deterministic, and when the identity map is an embedding the conditions
+    admit it.
 
     Coloring prune (the argument of Furedi & Simonovits, see the module
     docstring): when the pattern has no proper 2-coloring, each copy holds a
@@ -142,8 +144,7 @@ def _monochromatic_vertices(host: Hypergraph) -> list[int]:
     flip removes at least one, so there are at most m flips.  A flip of v
     updates only the gains of the vertices on v's edges, read off a CSR
     incidence, so the descent costs one sort of the r*m vertex ids to set up
-    and O(r*deg v) per flip; a heap holds each positive gain, and an entry
-    whose gain has changed since is skipped.
+    and O(r*deg v + n) per flip, the n for the argmax that picks the flip.
     """
     edges, r = host.edge_array, host.r
     flat = edges.ravel()
@@ -167,13 +168,8 @@ def _monochromatic_vertices(host: Hypergraph) -> list[int]:
 
     # with every label 0, each edge at v is monochromatic and stops being so when v flips
     gain = offsets[1:] - offsets[:-1]
-    positive = np.flatnonzero(gain)
-    heap = list(zip((-gain[positive]).tolist(), positive.tolist()))
-    heapq.heapify(heap)
-    while heap:
-        g, v = heapq.heappop(heap)
-        if -g != gain[v]:
-            continue
+    # argmax takes the first of equal gains, so the lowest id
+    while host.m and gain[v := int(gain.argmax())] > 0:
         e = at[offsets[v] : offsets[v + 1]]
         members = np.take(edges, e, axis=0)
         before = shares(ones[e], members)
@@ -186,11 +182,7 @@ def _monochromatic_vertices(host: Hypergraph) -> list[int]:
         slot[members] = np.arange(len(members))
         sums = np.bincount(slot[members], delta, minlength=len(members))
         moved = np.flatnonzero(sums)
-        changed = members[moved]
-        gain[changed] += sums[moved].astype(np.int64)
-        for u, gain_u in zip(changed.tolist(), gain[changed].tolist()):
-            if gain_u > 0:
-                heapq.heappush(heap, (-gain_u, u))
+        gain[members[moved]] += sums[moved].astype(np.int64)
     insides = []
     for color in (ones == 0, ones == r):
         if color.any():
@@ -259,10 +251,12 @@ def _search(
     """`_embeddings`' search: every embedding in search order, with a None
     after every _SEARCH_TICK search nodes so that `_race` can take turns.
 
-    Each condition (a, b) demands phi(a) < phi(b); it bounds the candidates
-    at the level where the later of a and b is placed.  ``pinned`` fixes
-    the images of some pattern vertices, which are placed first.  Sets of
-    host vertices are bitmasks (see `contains_subgraph`); a completer mask
+    Each condition (a, b) demands phi(a) < phi(b): once the earlier-placed
+    of a and b has its image h, the other's domain is cut to the ids above h
+    (if it is b) or below h (if it is a).  ``pinned`` fixes the images of
+    some pattern vertices, which are placed first: a pinned vertex's domain
+    starts as its one id.  Sets of host vertices are bitmasks (see
+    `contains_subgraph`); a completer mask
     is built the first time the search reads its key and kept until the
     generator ends or is closed, since one mask per key would cost up to
     n/8 bytes each.  The completion index is built on the first `next`, and
@@ -283,14 +277,14 @@ def _search(
     for f in pattern.edges:
         *earlier, last, q = sorted(f, key=level.__getitem__)
         pending[level[last]].append((q, tuple(earlier)))
-    # per level, the earlier-placed vertices whose images bound it below / above
-    below: list[list[int]] = [[] for _ in range(pattern.n)]
-    above: list[list[int]] = [[] for _ in range(pattern.n)]
+    # per level, the later-placed vertex of each condition whose earlier vertex
+    # is placed there, and whether it must map above that image (else below)
+    bounds: list[list[tuple[int, bool]]] = [[] for _ in range(pattern.n)]
     for a, b in conditions:
         if level[a] < level[b]:
-            below[level[b]].append(a)
+            bounds[level[a]].append((b, True))
         else:
-            above[level[a]].append(b)
+            bounds[level[b]].append((a, False))
 
     keys, offsets, completers = _completion_index(host)
     # completer masks by the images of r-1 pattern vertices, in the order the
@@ -353,13 +347,7 @@ def _search(
             yield tuple(assign)
             return
         p = order[k]
-        lo = max((assign[a] for a in below[k]), default=-1)
-        hi = min((assign[b] for b in above[k]), default=host.n)
-        if p in pinned:
-            lo, hi = max(lo, pinned[p] - 1), min(hi, pinned[p] + 1)
-        if hi <= lo + 1:
-            return
-        cand = domains[p] & ~used & ((1 << hi) - (1 << (lo + 1)))
+        cand = domains[p] & ~used
         fixed = [(q, tuple([assign[v] for v in earlier])) for q, earlier in pending[k]]
         pruned = False
         while cand:
@@ -372,7 +360,9 @@ def _search(
             cand ^= low
             h = assign[p] = low.bit_length() - 1
             placed = used | low
-            narrowed = domains.copy() if fixed else domains
+            narrowed = domains.copy() if fixed or bounds[k] else domains
+            for q, up in bounds[k]:
+                narrowed[q] &= -(2 << h) if up else (1 << h) - 1
             for q, images in fixed:
                 key = images + (h,)
                 mask = masks.get(key)
@@ -382,8 +372,11 @@ def _search(
             else:
                 yield from extend(k + 1, placed, narrowed)
 
+    domains = [at_least[d] for d in pat_deg]
+    for v, h in pinned.items():
+        domains[v] &= 1 << h
     try:
-        yield from extend(0, 0, [at_least[d] for d in pat_deg])
+        yield from extend(0, 0, domains)
     finally:
         # extend refers to itself through its closure: drop that cycle, which
         # holds the completion index and the masks, without waiting for gc

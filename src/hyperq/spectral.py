@@ -237,9 +237,11 @@ def _iterate_blocks(
     y_i / x_i^(r-1) bracket its radius (Collatz-Wielandt).  A block that
     meets tol, or reaches max_iter, freezes: its x, y and x^(r-1) go into
     one (3, n) array at its layout ids, where its host reads its best
-    block.  Each block's r-norm and final dot product are taken on its own
-    vertices, so its numbers are those of iterating it alone; the r-norms
-    of the running blocks of one length are summed at once.
+    block.  A block whose x^(r-1) underflows to 0 somewhere freezes
+    unconverged one step back, at its last positive iterate.  Each block's
+    r-norm and final dot product are taken on its own vertices, so its
+    numbers are those of iterating it alone; the r-norms of the running
+    blocks of one length are summed at once.
 
     The adjacency operator is iterated as A + I, whose positive diagonal
     keeps the plain iteration from cycling, and the shift is taken off
@@ -262,51 +264,69 @@ def _iterate_blocks(
     starts, ends, lone, shared = _size_groups(lens)
     origins = starts.tolist()
     running, lows, ups = [], [], []
-    for step in range(1, max_iter + 1):
-        xp = x ** (r - 1)
-        y = _adjacency(edges, len(x), x)
-        y += diag * xp
-        # rounding is monotone, so the least shifted ratio is the least ratio, shifted
-        ratios = y / xp
-        ratios -= shift
-        lower = np.minimum.reduceat(ratios, starts)
-        upper = np.maximum.reduceat(ratios, starts)
-        running.append(ids)
-        lows.append(lower)
-        ups.append(upper)
-        done = upper - lower <= tol * np.maximum(upper, 1.0)
-        halt = done.nonzero()[0] if step < max_iter else np.arange(len(ids))
-        if len(halt):
-            # x stays the iterate that y and the bracket belong to; x has unit
-            # r-norm, so the Rayleigh estimate is a convex combination of the
-            # ratios and lies in the bracket
-            dots = [np.dot(x[a:b], y[a:b]) for a, b in zip(starts[halt].tolist(), ends[halt].tolist())]
-            rhos = (np.array(dots) - shift).clip(lower[halt], upper[halt])
-            for block, rho, ok in zip(ids[halt].tolist(), rhos.tolist(), done[halt].tolist()):
-                solved[block] = (rho, ok, step)
-            # every running block is written, which costs less than picking
-            # out the halted ones; a block's last write is the one at its freeze
-            final[:, verts] = x, y, xp
-            if len(halt) == len(ids):
-                break
-            keep = np.ones(len(ids), dtype=bool)
-            keep[halt] = False
-            live = keep.repeat(lens)
-            # drop the frozen blocks; the edges stay grouped by block and sorted by first vertex
-            rows = keep.repeat(np.diff(edges[:, 0].searchsorted(ends), prepend=0))
-            edges = (live.cumsum() - 1)[edges[rows]]
-            ids, lens, verts, y, diag = ids[keep], lens[keep], verts[live], y[live], diag[live]
-            starts, ends, lone, shared = _size_groups(lens)
-        x = y ** (1.0 / (r - 1))
-        xr = x**r
-        # a lone block is a slice, which costs less than a gather; the blocks
-        # of a shared length are the rows of one array, and a row sums as its
-        # slice does.  The powers stay scalar: an array power may round otherwise.
-        for a, b in lone:
-            x[a:b] /= xr[a:b].sum() ** (1.0 / r)
-        for index in shared:
-            norms = [total ** (1.0 / r) for total in xr[index].sum(axis=1).tolist()]
-            x[index] /= np.array(norms)[:, None]
+    held = None  # the previous step's x, y and x^(r-1), while the layout stays the same
+    # x^(r-1) may underflow to 0, where a ratio is infinite or NaN (see below)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for step in range(1, max_iter + 1):
+            xp = x ** (r - 1)
+            y = _adjacency(edges, len(x), x)
+            y += diag * xp
+            # rounding is monotone, so the least shifted ratio is the least ratio, shifted
+            ratios = y / xp
+            ratios -= shift
+            lower = np.minimum.reduceat(ratios, starts)
+            upper = np.maximum.reduceat(ratios, starts)
+            running.append(ids)
+            lows.append(lower)
+            ups.append(upper)
+            # written so that a NaN or infinite bracket also halts its block
+            done = ~(upper - lower > tol * np.maximum(upper, 1.0))
+            halt = done.nonzero()[0] if step < max_iter else np.arange(len(ids))
+            if len(halt):
+                # a block whose x^(r-1) has underflowed to 0 somewhere has an
+                # infinite or NaN ratio, so no bracket at this step: it freezes
+                # unconverged at the step before, whose iterate was positive
+                sunk = ~np.isfinite(upper)
+                if sunk.any():
+                    running[-1], lows[-1], ups[-1] = ids[~sunk], lower[~sunk], upper[~sunk]
+                    back = running[-2].searchsorted(ids[sunk])
+                    lower[sunk], upper[sunk] = lows[-2][back], ups[-2][back]
+                    done[sunk] = False
+                    for a, b in zip(starts[sunk].tolist(), ends[sunk].tolist()):
+                        x[a:b], y[a:b], xp[a:b] = final[:, verts[a:b]] if held is None else [v[a:b] for v in held]
+                # x stays the iterate that y and the bracket belong to; x has unit
+                # r-norm, so the Rayleigh estimate is a convex combination of the
+                # ratios and lies in the bracket
+                dots = [np.dot(x[a:b], y[a:b]) for a, b in zip(starts[halt].tolist(), ends[halt].tolist())]
+                rhos = (np.array(dots) - shift).clip(lower[halt], upper[halt])
+                halted = zip(ids[halt].tolist(), rhos.tolist(), done[halt].tolist(), sunk[halt].tolist())
+                for block, rho, ok, sank in halted:
+                    solved[block] = (rho, ok, step - sank)
+                # every running block is written, which costs less than picking
+                # out the halted ones; a block's last write is the one at its freeze
+                final[:, verts] = x, y, xp
+                if len(halt) == len(ids):
+                    break
+                keep = np.ones(len(ids), dtype=bool)
+                keep[halt] = False
+                live = keep.repeat(lens)
+                # drop the frozen blocks; the edges stay grouped by block and sorted by first vertex
+                rows = keep.repeat(np.diff(edges[:, 0].searchsorted(ends), prepend=0))
+                edges = (live.cumsum() - 1)[edges[rows]]
+                ids, lens, verts, y, diag = ids[keep], lens[keep], verts[live], y[live], diag[live]
+                starts, ends, lone, shared = _size_groups(lens)
+            # after a freeze the layout changes, and final holds this step's iterates
+            held = None if len(halt) else (x, y, xp)
+            x = y ** (1.0 / (r - 1))
+            xr = x**r
+            # a lone block is a slice, which costs less than a gather; the blocks
+            # of a shared length are the rows of one array, and a row sums as its
+            # slice does.  The powers stay scalar: an array power may round otherwise.
+            for a, b in lone:
+                x[a:b] /= xr[a:b].sum() ** (1.0 / r)
+            for index in shared:
+                norms = [total ** (1.0 / r) for total in xr[index].sum(axis=1).tolist()]
+                x[index] /= np.array(norms)[:, None]
 
     # a block runs in every step until it freezes: sorted stably by block,
     # its brackets are consecutive and in step order

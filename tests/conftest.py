@@ -84,3 +84,12 @@ def connected_hypergraphs(draw, max_n=8, rs=(2, 3), max_extra=4):
 
 def comb(n, k):
     return math.comb(n, k)
+
+
+def underflow_host(path_edges):
+    """K_30^3 with a loose path of path_edges triples hung off vertex 29:
+    (29, 30, 31), (31, 32, 33), ...  The iterates decay along the path, and
+    with 200 path edges their far end falls below the smallest double
+    within 150 steps."""
+    path = [(29 + 2 * i, 30 + 2 * i, 31 + 2 * i) for i in range(path_edges)]
+    return Hypergraph(3, 30 + 2 * path_edges, list(combinations(range(30), 3)) + path)

@@ -11,6 +11,7 @@ from hyperq.hypergraph import Hypergraph, build_bn, build_fano, parse, serialize
 from hyperq.reporting import CSV_HEADER
 
 from cli_golden import CHECK, GEN, GEN_K4, VERIFY
+from conftest import underflow_host
 from spectral_golden import SPECTRAL_B61
 
 
@@ -121,6 +122,20 @@ class TestSpectral:
         res = invoke(runner, "spectral", str(path), "--max-iter", "1", "--format", "json")
         assert res.exit_code == 4
         assert json.loads(res.output)["converged"] is False
+
+    def test_underflow_keeps_a_finite_bracket(self, runner, tmp_path):
+        # the far end of the path underflows before step 300 (see underflow_host)
+        path = tmp_path / "underflow.txt"
+        path.write_text(serialize(underflow_host(200)))
+        res = invoke(runner, "spectral", str(path), "--max-iter", "300", "--format", "json")
+        assert res.exit_code == 4
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        payload = json.loads(res.output, parse_constant=refuse)
+        assert payload["converged"] is False
+        assert payload["lower"] <= 812.0333 <= payload["upper"]
 
     def test_eigenvector_flag(self, runner, tmp_path):
         path = tmp_path / "edge.txt"

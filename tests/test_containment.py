@@ -278,6 +278,12 @@ def with_edges(hg, extra):
     return Hypergraph(hg.r, hg.n, np.vstack([hg.edge_array, np.array(extra, dtype=np.int64).reshape(-1, hg.r)]))
 
 
+def with_gaps(n):
+    """B_n with an isolated vertex before, between and after its two parts."""
+    hg, coloring = build_bn(n)
+    return Hypergraph(3, n + 3, hg.edge_array + 1 + (hg.edge_array >= coloring.part_sizes[0]))
+
+
 def build_defect(n, a):
     """The complete two-part 3-graph on A = {0..a-1} and B = {a..n-1}, plus the
     four triples of K = {a..a+3}, less every triple of two A-vertices from one
@@ -422,8 +428,20 @@ class TestContainsSubgraph:
             assert emb.is_valid_for(host, pattern)
 
 
+# an edge and a second edge through its first two vertices: the order places
+# 0, 1, 2, 3, so 2 comes after both 0 and 1
+TWO_EDGES = Hypergraph(3, 4, [(0, 1, 2), (0, 1, 3)])
+
+
 class TestSearchAgainstReference:
     @given(search_problems())
+    # a pin against a condition: phi(1) = 0 leaves no image below it for 0
+    @example((build_complete(6, 3), TWO_EDGES, ((0, 1),), {1: 0}))
+    # two pins against a condition, each pin satisfiable alone
+    @example((build_complete(6, 3), TWO_EDGES, ((0, 2),), {0: 4, 2: 3}))
+    # two conditions bound 2 from both sides: phi(0) < phi(2) < phi(1)
+    @example((build_complete(6, 3), TWO_EDGES, ((0, 2), (2, 1)), None))
+    @example((build_complete(6, 3), TWO_EDGES, ((0, 2), (2, 1)), {1: 3}))
     @settings(max_examples=200, deadline=None)
     def test_same_embeddings_in_same_order(self, problem):
         host, pattern, conditions, pinned = problem
@@ -465,6 +483,17 @@ class TestSearchAgainstReference:
     @settings(max_examples=40, deadline=None)
     def test_symmetry_conditions_of_symmetric_patterns(self, pattern):
         assert _symmetry_conditions(pattern) == reference_symmetry_conditions(pattern)
+
+    def test_conditions_cut_dead_branches_where_made(self, fano):
+        # a condition narrows the later vertex's domain once the earlier one is
+        # placed, so forward checking cuts a branch it leaves dead where the
+        # branch is made; a bound read only at the later vertex's own level
+        # gives 17 ticks here
+        host = build_complete(7, 3)
+        conditions = _symmetry_conditions(fano)
+        found = list(_search(host, fano, conditions))
+        assert found.count(None) == 12
+        assert [f for f in found if f is not None] == list(reference_embeddings(host, fano, conditions))
 
     def test_witnesses_unchanged(self, fano):
         # witnesses of the set-intersection search, which the bitmask search keeps
@@ -514,6 +543,16 @@ class TestColoringPrune:
     embedding and their order; it never fires for 2-colorable patterns."""
 
     @given(hypergraphs(max_n=9, rs=(2, 3, 4), max_m=30) | bn_subgraphs())
+    # many equal gains, which the descent breaks by the lowest id
+    @example(build_complete(7, 3))
+    @example(build_complete(8, 3))
+    @example(build_complete(9, 3))
+    @example(build_complete(10, 3))
+    @example(build_complete(11, 3))
+    @example(build_complete(12, 3))
+    @example(with_gaps(7))
+    @example(with_gaps(8))
+    @example(with_gaps(9))
     @settings(max_examples=50, deadline=None)
     def test_descent_matches_reference(self, hg):
         assert containment._monochromatic_vertices(hg) == reference_monochromatic_vertices(hg)

@@ -33,7 +33,7 @@ from hyperq.spectral import (
     _radii,
 )
 
-from conftest import connected_hypergraphs, hypergraphs
+from conftest import connected_hypergraphs, hypergraphs, underflow_host
 
 SINGLE_EDGE = Hypergraph(3, 3, [(0, 1, 2)])
 
@@ -661,3 +661,40 @@ def test_one_components_evaluation_per_wave(wave, waves, components_calls, monke
     assert len(results) == sum(sizes) == len(WAVE_HOSTS)
     assert len(sizes) == waves == len(components_calls)
     assert sum(components_calls) == sum(hg.n for hg in WAVE_HOSTS)
+
+
+class TestUnderflow:
+    """A block whose x^(r-1) underflows to 0 somewhere has no bracket at that
+    step; it freezes unconverged at its last positive iterate, exactly as a
+    run with max_iter at that step would end."""
+
+    HOST = underflow_host(200)
+
+    def test_freezes_at_last_positive_iterate(self):
+        res = spectral_radius(self.HOST, max_iter=300)
+        assert not res.converged and res.iterations < 300
+        assert all(map(math.isfinite, (res.rho, res.lower, res.upper, res.residual)))
+        assert np.all(res.eigenvector > 0) and len(res.history) == res.iterations
+        want = spectral_radius(self.HOST, max_iter=res.iterations)
+        assert [getattr(res, f) for f in RESULT_FIELDS] == [getattr(want, f) for f in RESULT_FIELDS]
+        assert res.eigenvector.tobytes() == want.eigenvector.tobytes()
+        # with 50 path edges the iteration converges; adding edges cannot lower q
+        short = spectral_radius(underflow_host(50))
+        assert short.converged and short.eigenvector.min() > 0
+        assert res.lower <= short.lower <= res.upper
+
+    @pytest.mark.parametrize("tol", [1.3e-10, 1.5e-10])
+    def test_in_a_batch(self, tol, monkeypatch):
+        # in one wave, the companion freezes at the underflow host's last
+        # positive step (tol 1.3e-10) or at the step before (1.5e-10), so the
+        # rollback reads that iterate from the frozen blocks' array or from
+        # the previous step's
+        monkeypatch.setattr(spectral, "_WAVE_EDGES", 2 * self.HOST.m)
+        companion = random_connected(15, 3, 18, rng=0)
+        res, other = _radii([self.HOST, companion], SIGNLESS_LAPLACIAN, tol, 300)
+        want = spectral_radius(self.HOST, tol=tol, max_iter=res.iterations)
+        assert other.iterations == res.iterations - (tol > 1.4e-10)
+        assert [getattr(res, f) for f in RESULT_FIELDS] == [getattr(want, f) for f in RESULT_FIELDS]
+        assert res.eigenvector.tobytes() == want.eigenvector.tobytes()
+        alone = spectral_radius(companion, tol=tol, max_iter=300)
+        assert [getattr(other, f) for f in RESULT_FIELDS] == [getattr(alone, f) for f in RESULT_FIELDS]
