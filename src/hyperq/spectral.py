@@ -8,6 +8,14 @@ The 1/(r-1)! coefficient in the tensor definition cancels against the
 (r-1)! orderings of each edge, so no factorial appears here.  The
 signless Laplacian adds the diagonal degree term d(i) * x_i^(r-1).
 
+The sum is taken in factored form over runs: maximal blocks of
+consecutive edge rows that share their first r-1 vertices p_1..p_{r-1}.
+For a run whose last vertices are L, each l in L gets prod_k x_{p_k} and
+each p_j gets prod_{k != j} x_{p_k} times sum_{l in L} x_l.  A step then
+gathers and sums x over the last column once, and takes its products
+over the runs only.  Row order affects the speed only: lex-sorted rows,
+as every edge array here is, make the runs long and few.
+
 The spectral radius is found by bracketed power iteration: at each
 positive iterate the ratios y_i / x_i^(r-1) enclose the true radius
 (Collatz-Wielandt), so the returned [lower, upper] bracket is valid even
@@ -24,6 +32,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,26 +87,72 @@ def _check_weights(hg: Hypergraph, x) -> np.ndarray:
     return x
 
 
-def _adjacency(edges: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
-    """(A x)_i over an explicit (m, r) edge array."""
-    cols = edges.T
-    vals = list(x[cols])
-    # leave-one-out product at position j: the product of the values before
-    # j, taken left to right, times the product of those after j, taken
-    # right to left; the end positions have one side only
-    before = [*accumulate(vals[:-1], operator.mul)]
-    after = [*accumulate(vals[:0:-1], operator.mul)][::-1]
-    weights = [after[0], *map(operator.mul, before[:-1], after[1:]), before[-1]]
-    # bincount of an empty column counts in int64; edgeless results stay float64
-    out = np.bincount(cols[0], weights[0], n).astype(np.float64, copy=False)
-    for col, w in zip(cols[1:], weights[1:]):
-        out += np.bincount(col, w, n)
-    return out
+class _Runs(NamedTuple):
+    """An edge array cut into runs, the maximal blocks of consecutive rows
+    that share their first r - 1 vertices (the prefix), in the arrays that
+    _adjacency reads."""
+
+    index: np.ndarray  # each row's last vertex, then the runs' prefixes position by position
+    heads: np.ndarray  # index's prefix part as an (r - 1, runs) array
+    starts: np.ndarray  # each run's first row
+    counts: np.ndarray  # each run's length, then a 1 per prefix entry
+    others: np.ndarray  # row j: the positions 0..r-1 other than j
+
+
+def _cut(index: np.ndarray, counts: np.ndarray, others: np.ndarray) -> _Runs:
+    """The runs with this index, counts and others (see _Runs)."""
+    r = len(others)
+    size = len(counts) // r
+    lens = counts[:size]
+    heads = index[len(index) - (r - 1) * size :].reshape(r - 1, size)
+    return _Runs(index, heads, lens.cumsum() - lens, counts, others)
+
+
+def _runs(edges: np.ndarray) -> _Runs:
+    """The runs of an (m, r) edge array."""
+    m, r = edges.shape
+    heads = edges.T[:-1]
+    first = np.ones(m, dtype=bool)
+    first[1:] = np.logical_or.reduce([col[1:] != col[:-1] for col in heads])
+    starts = first.nonzero()[0]
+    index = np.concatenate([edges[:, -1], *(col[starts] for col in heads)])
+    # the steps from each run's start to the next, on to m, then by 1 per prefix entry
+    bounds = np.concatenate((starts, np.arange(m, m + (r - 1) * len(starts) + 1)))
+    return _cut(index, bounds[1:] - bounds[:-1], np.array([[k for k in range(r) if k != j] for j in range(r)]))
+
+
+def _keep_blocks(runs: _Runs, ends: np.ndarray, keep: np.ndarray, live: np.ndarray) -> _Runs:
+    """The runs of the blocks that ``keep`` marks, on their vertices renumbered
+    in order: ``ends`` are the blocks' vertex ends and ``live`` marks the kept
+    vertices.  A run lies in the block of its first prefix vertex."""
+    kept = np.concatenate([keep[ends.searchsorted(runs.heads[0], side="right")]] * len(runs.others))
+    return _cut((live.cumsum() - 1)[runs.index[kept.repeat(runs.counts)]], runs.counts[kept], runs.others)
+
+
+def _adjacency(runs: _Runs, n: int, x: np.ndarray) -> np.ndarray:
+    """(A x)_i over the runs of an edge array; with no runs, int64 zeros.
+
+    A run with prefix p_1..p_{r-1} and last vertices L gives each l in L
+    the product of the x_{p_k}, and each p_j the product of the other
+    x_{p_k} times the sum of x over L.  These are the leave-one-out
+    products of the r values (sum of x over L, x_{p_1}, ..., x_{p_{r-1}}).
+    Any row order gives the same result up to rounding: sorted rows make
+    long runs and so few, which is all that the order changes.
+    """
+    gathered = x.take(runs.index)
+    split = len(gathered) - runs.heads.size
+    sums = np.add.reduceat(gathered[:split], runs.starts)
+    # row 0: each run's sum over L, row j: its x_{p_j}; row j of the products
+    # then goes to part j of the index, row 0 repeated over the run's rows
+    vals = np.concatenate((sums, gathered[split:])).reshape(len(runs.others), len(sums))
+    weights = np.multiply.reduce(vals[runs.others], axis=1)
+    return np.bincount(runs.index, weights.repeat(runs.counts), n)
 
 
 def _apply(hg: Hypergraph, x: np.ndarray, operator: str) -> np.ndarray:
     """The operator's action on weights x that _check_weights has passed."""
-    y = _adjacency(hg.edge_array, hg.n, x)
+    # bincount of an empty index counts in int64; edgeless results stay float64
+    y = _adjacency(_runs(hg.edge_array), hg.n, x).astype(np.float64, copy=False)
     if operator == SIGNLESS_LAPLACIAN:
         y += np.bincount(hg.edge_array.ravel(), minlength=hg.n) * x ** (hg.r - 1)
     return y
@@ -241,7 +296,9 @@ def _iterate_blocks(
     unconverged one step back, at its last positive iterate.  Each block's
     r-norm and final dot product are taken on its own vertices, so its
     numbers are those of iterating it alone; the r-norms of the running
-    blocks of one length are summed at once.
+    blocks of one length are summed at once, and the dot products of all
+    running blocks in one grouped sum.  The kernel's runs are built once;
+    a freeze keeps those of the running blocks and renumbers them.
 
     The adjacency operator is iterated as A + I, whose positive diagonal
     keeps the plain iteration from cycling, and the shift is taken off
@@ -257,8 +314,10 @@ def _iterate_blocks(
         shift, diag = 1.0, np.ones(n)
     else:
         shift, diag = 0.0, np.bincount(edges.ravel(), minlength=n).astype(np.float64)
+    runs = _runs(edges)
     x = np.array([size ** (-1.0 / r) for size in size_list]).repeat(sizes)
-    solved = [None] * len(blocks)  # per block, once frozen: (rho, converged, iterations)
+    # per block, once frozen: its Rayleigh estimate, whether it converged, and its steps
+    radii, good, steps = np.empty(len(blocks)), np.empty(len(blocks), dtype=bool), np.empty(len(blocks), dtype=int)
     final = np.empty((3, n))  # x, y and x^(r-1) of each frozen block, at its layout ids
     ids, lens, verts = np.arange(len(blocks)), sizes, np.arange(n)  # the running blocks, their vertices' layout ids
     starts, ends, lone, shared = _size_groups(lens)
@@ -269,7 +328,7 @@ def _iterate_blocks(
     with np.errstate(divide="ignore", invalid="ignore"):
         for step in range(1, max_iter + 1):
             xp = x ** (r - 1)
-            y = _adjacency(edges, len(x), x)
+            y = _adjacency(runs, len(x), x)
             y += diag * xp
             # rounding is monotone, so the least shifted ratio is the least ratio, shifted
             ratios = y / xp
@@ -297,11 +356,10 @@ def _iterate_blocks(
                 # x stays the iterate that y and the bracket belong to; x has unit
                 # r-norm, so the Rayleigh estimate is a convex combination of the
                 # ratios and lies in the bracket
-                dots = [np.dot(x[a:b], y[a:b]) for a, b in zip(starts[halt].tolist(), ends[halt].tolist())]
-                rhos = (np.array(dots) - shift).clip(lower[halt], upper[halt])
-                halted = zip(ids[halt].tolist(), rhos.tolist(), done[halt].tolist(), sunk[halt].tolist())
-                for block, rho, ok, sank in halted:
-                    solved[block] = (rho, ok, step - sank)
+                dots = np.add.reduceat(x * y, starts)[halt]
+                radii[ids[halt]] = (dots - shift).clip(lower[halt], upper[halt])
+                good[ids[halt]] = done[halt]
+                steps[ids[halt]] = step - sunk[halt]
                 # every running block is written, which costs less than picking
                 # out the halted ones; a block's last write is the one at its freeze
                 final[:, verts] = x, y, xp
@@ -310,9 +368,7 @@ def _iterate_blocks(
                 keep = np.ones(len(ids), dtype=bool)
                 keep[halt] = False
                 live = keep.repeat(lens)
-                # drop the frozen blocks; the edges stay grouped by block and sorted by first vertex
-                rows = keep.repeat(np.diff(edges[:, 0].searchsorted(ends), prepend=0))
-                edges = (live.cumsum() - 1)[edges[rows]]
+                runs = _keep_blocks(runs, ends, keep, live)
                 ids, lens, verts, y, diag = ids[keep], lens[keep], verts[live], y[live], diag[live]
                 starts, ends, lone, shared = _size_groups(lens)
             # after a freeze the layout changes, and final holds this step's iterates
@@ -338,18 +394,17 @@ def _iterate_blocks(
         if first == last:
             yield _edgeless(hg)
             continue
-        own = solved[first:last]
-        best = max(range(first, last), key=lambda k: solved[k][0])  # max keeps the first of equal radii
-        rho, _, steps = solved[best]
+        best = first + int(radii[first:last].argmax())  # argmax keeps the first of equal radii
+        rho, taken = float(radii[best]), int(steps[best])
         comp, start = blocks[best], origins[best]
         x, y, xp = final[:, start : start + len(comp)]
         end = history_ends[best]
-        history = tuple(zip(lows[end - steps : end].tolist(), ups[end - steps : end].tolist()))
+        history = tuple(zip(lows[end - taken : end].tolist(), ups[end - taken : end].tolist()))
         vec = np.zeros(hg.n)
         vec[np.subtract(comp, offset)] = x
         residual = float(np.abs(y - shift * xp - rho * xp).max())
-        iterations = sum(block[2] for block in own)
-        converged = all(block[1] for block in own)
+        iterations = int(steps[first:last].sum())
+        converged = bool(good[first:last].all())
         yield SpectralResult(rho, *history[-1], vec, iterations, residual, converged, history)
 
 

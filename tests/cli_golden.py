@@ -3,7 +3,8 @@ before `spectral` and `check` were routed through `hyperq.reporting`.
 
 `CHECK` is keyed by (check, host, format), with hosts K_7, B_9, the Fano
 plane and B_8 as written by `hyperq gen`; `VERIFY` by (verify arguments,
-format).  Each value is (exit code, stdout)."""
+format).  Each value is (exit code, stdout).  The `VERIFY` floats are those
+of version 0.2.0, whose adjacency kernel sums over runs of shared prefixes."""
 
 CHECK = {
     ('fano', 'k7', 'text'): (1, (
@@ -96,8 +97,8 @@ VERIFY = {
         'bounds  7   operator=signless_laplacian  25.885767819776195  25.714285714285715..26.0  true\n'
         'bounds  8   operator=signless_laplacian  36.0                36.0..36.0                true\n'
         'bounds  9   operator=signless_laplacian  46.881063880271505  46.666666666666664..47.0  true\n'
-        'bounds  10  operator=signless_laplacian  60.00000000000001   60.0..60.0                true\n'
-        'bounds  11  operator=signless_laplacian  73.87889689595352   73.63636363636364..74.0   true\n'
+        'bounds  10  operator=signless_laplacian  60.000000000000014  60.0..60.0                true\n'
+        'bounds  11  operator=signless_laplacian  73.87889689595353   73.63636363636364..74.0   true\n'
         'bounds  12  operator=signless_laplacian  90.00000000000001   90.0..90.0                true\n'
     )),
     ('bounds 4:12', 'json'): (0, (
@@ -154,7 +155,7 @@ VERIFY = {
         '    "op": "bounds",\n'
         '    "n": 10,\n'
         '    "inputs": "operator=signless_laplacian",\n'
-        '    "value": 60.00000000000001,\n'
+        '    "value": 60.000000000000014,\n'
         '    "bound": "60.0..60.0",\n'
         '    "pass": true\n'
         '  },\n'
@@ -162,7 +163,7 @@ VERIFY = {
         '    "op": "bounds",\n'
         '    "n": 11,\n'
         '    "inputs": "operator=signless_laplacian",\n'
-        '    "value": 73.87889689595352,\n'
+        '    "value": 73.87889689595353,\n'
         '    "bound": "73.63636363636364..74.0",\n'
         '    "pass": true\n'
         '  },\n'
@@ -184,8 +185,8 @@ VERIFY = {
         'bounds,7,operator=signless_laplacian,25.885767819776195,25.714285714285715..26.0,true\n'
         'bounds,8,operator=signless_laplacian,36.0,36.0..36.0,true\n'
         'bounds,9,operator=signless_laplacian,46.881063880271505,46.666666666666664..47.0,true\n'
-        'bounds,10,operator=signless_laplacian,60.00000000000001,60.0..60.0,true\n'
-        'bounds,11,operator=signless_laplacian,73.87889689595352,73.63636363636364..74.0,true\n'
+        'bounds,10,operator=signless_laplacian,60.000000000000014,60.0..60.0,true\n'
+        'bounds,11,operator=signless_laplacian,73.87889689595353,73.63636363636364..74.0,true\n'
         'bounds,12,operator=signless_laplacian,90.00000000000001,90.0..90.0,true\n'
     )),
     ('splits 8:10', 'text'): (0, (
@@ -299,26 +300,26 @@ VERIFY = {
         'condition2,52,pi=0.75 r=3 sigma=0.05,0.0,2.6,true\n'
     )),
     ('deletion 7:9', 'text'): (0, (
-        'op        n  inputs   value              bound               pass\n'
-        'deletion  7  B_7 w=2  18.0               16.57098800811915   true\n'
-        'deletion  8  B_8 w=0  25.88576781977618  24.571428571428573  true\n'
-        'deletion  9  B_9 w=0  36.0               34.5855263404505    true\n'
+        'op        n  inputs   value               bound               pass\n'
+        'deletion  7  B_7 w=0  18.0                16.570988008119144  true\n'
+        'deletion  8  B_8 w=0  25.885767819776195  24.571428571428573  true\n'
+        'deletion  9  B_9 w=0  36.0                34.5855263404505    true\n'
     )),
     ('deletion 7:9', 'json'): (0, (
         '[\n'
         '  {\n'
         '    "op": "deletion",\n'
         '    "n": 7,\n'
-        '    "inputs": "B_7 w=2",\n'
+        '    "inputs": "B_7 w=0",\n'
         '    "value": 18.0,\n'
-        '    "bound": 16.57098800811915,\n'
+        '    "bound": 16.570988008119144,\n'
         '    "pass": true\n'
         '  },\n'
         '  {\n'
         '    "op": "deletion",\n'
         '    "n": 8,\n'
         '    "inputs": "B_8 w=0",\n'
-        '    "value": 25.88576781977618,\n'
+        '    "value": 25.885767819776195,\n'
         '    "bound": 24.571428571428573,\n'
         '    "pass": true\n'
         '  },\n'
@@ -334,13 +335,13 @@ VERIFY = {
     )),
     ('deletion 7:9', 'csv'): (0, (
         'op,n,inputs,value,bound,pass\n'
-        'deletion,7,B_7 w=2,18.0,16.57098800811915,true\n'
-        'deletion,8,B_8 w=0,25.88576781977618,24.571428571428573,true\n'
+        'deletion,7,B_7 w=0,18.0,16.570988008119144,true\n'
+        'deletion,8,B_8 w=0,25.885767819776195,24.571428571428573,true\n'
         'deletion,9,B_9 w=0,36.0,34.5855263404505,true\n'
     )),
     ('extremal 8 --samples 3 --seed 5', 'text'): (0, (
         'op        n  inputs            value              bound  pass\n'
-        'extremal  8  samples=3 seed=5  35.28400549541668  36.0   true\n'
+        'extremal  8  samples=3 seed=5  35.28400549541667  36.0   true\n'
     )),
     ('extremal 8 --samples 3 --seed 5', 'json'): (0, (
         '[\n'
@@ -348,7 +349,7 @@ VERIFY = {
         '    "op": "extremal",\n'
         '    "n": 8,\n'
         '    "inputs": "samples=3 seed=5",\n'
-        '    "value": 35.28400549541668,\n'
+        '    "value": 35.28400549541667,\n'
         '    "bound": 36.0,\n'
         '    "pass": true\n'
         '  }\n'
@@ -356,7 +357,7 @@ VERIFY = {
     )),
     ('extremal 8 --samples 3 --seed 5', 'csv'): (0, (
         'op,n,inputs,value,bound,pass\n'
-        'extremal,8,samples=3 seed=5,35.28400549541668,36.0,true\n'
+        'extremal,8,samples=3 seed=5,35.28400549541667,36.0,true\n'
     )),
 }
 

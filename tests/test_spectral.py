@@ -1,6 +1,7 @@
 import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,7 +31,10 @@ from hyperq.spectral import (
     spectral_radius,
     _adjacency,
     _golden_max,
+    _keep_blocks,
+    _layout,
     _radii,
+    _runs,
 )
 
 from conftest import connected_hypergraphs, hypergraphs, underflow_host
@@ -110,15 +114,43 @@ class TestApplyAdjacency:
 
     @given(hypergraphs(max_n=10, rs=(2, 3, 4, 5), max_m=20), st.data())
     @settings(max_examples=150, deadline=None)
-    def test_bits_match_prefix_suffix_kernel(self, hg, data):
+    def test_within_rounding_bound_of_exact_sum(self, hg, data):
         value = st.one_of(st.just(0.0), st.floats(min_value=-1e3, max_value=1e3, allow_subnormal=False))
         x = np.array(data.draw(st.lists(value, min_size=hg.n, max_size=hg.n)), dtype=np.float64)
-        got = _adjacency(hg.edge_array, hg.n, x)
-        assert got.tobytes() == prefix_suffix_adjacency(hg.edge_array, hg.n, x).tobytes()
+        shuffled = hg.edge_array[data.draw(st.permutations(range(hg.m)))]
+        exact, scale = exact_adjacency(hg, x)
+        # Higham, Accuracy and Stability of Numerical Algorithms, section 3.1:
+        # a sum of products in which each term takes at most k roundings is
+        # off by at most gamma_k = k u / (1 - k u) times the sum of the terms'
+        # magnitudes, u = 2^-53.  Gradual underflow adds at most 2^-1074 per
+        # product of a term, carried by its later factors of at most big each.
+        big = Fraction(max(1.0, float(np.abs(x).max(initial=0.0))))
+        bounds = [
+            Fraction(d + hg.r, 2**53 - d - hg.r) * total + Fraction(d * hg.r, 2**1074) * big ** (hg.r - 1)
+            for d, total in zip(hg.degrees(), scale)
+        ]
+        for got in (
+            _adjacency(_runs(hg.edge_array), hg.n, x),
+            _adjacency(_runs(shuffled), hg.n, x),
+            prefix_suffix_adjacency(hg.edge_array, hg.n, x),
+        ):
+            for value, want, bound in zip(got.tolist(), exact, bounds):
+                assert abs(Fraction(value) - want) <= bound
+
+
+def exact_adjacency(hg, x):
+    """A x and A |x| in exact rational arithmetic."""
+    exact, scale = [Fraction(0)] * hg.n, [Fraction(0)] * hg.n
+    for e in hg.edges:
+        for i in e:
+            term = math.prod(Fraction(x[v]) for v in e if v != i)
+            exact[i] += term
+            scale[i] += abs(term)
+    return exact, scale
 
 
 def prefix_suffix_adjacency(edges, n, x):
-    """The cumprod prefix/suffix kernel that _adjacency replaced, kept as its reference."""
+    """The cumprod prefix/suffix kernel that preceded the run kernel, kept as a reference."""
     out = np.zeros(n)
     m, r = edges.shape
     if m == 0:
@@ -504,7 +536,7 @@ def test_disjoint_triples():
 
 def reference_component_iterate(edges, n, r, operator, tol, max_iter) -> SpectralResult:
     """The one-component iteration that _radii replaced, kept as its reference
-    (on the reference kernel)."""
+    (on the production kernel, so that it checks the batching and freezing)."""
     if operator == ADJACENCY:
         shift, diag = 1.0, np.ones(n)
     else:
@@ -513,7 +545,7 @@ def reference_component_iterate(edges, n, r, operator, tol, max_iter) -> Spectra
     history = []
     for iterations in range(1, max_iter + 1):
         xp = x ** (r - 1)
-        y = prefix_suffix_adjacency(edges, n, x)
+        y = _adjacency(_runs(edges), n, x)
         y += diag * xp
         ratios = y / xp
         lower = float(ratios.min()) - shift
@@ -526,7 +558,7 @@ def reference_component_iterate(edges, n, r, operator, tol, max_iter) -> Spectra
         x /= np.sum(x**r) ** (1.0 / r)
     # Rayleigh estimate at the final iterate; x has unit r-norm, so the
     # estimate is a convex combination of the ratios and lies in the bracket
-    rho = float(np.clip(float(np.dot(x, y)) - shift, lower, upper))
+    rho = float(np.clip(float(np.add.reduceat(x * y, [0])[0]) - shift, lower, upper))
     residual = float(np.max(np.abs(y - shift * xp - rho * xp)))
     return SpectralResult(rho, lower, upper, x, iterations, residual, converged, tuple(history))
 
@@ -644,6 +676,22 @@ def test_blocks_freezing_at_different_steps_match_reference(operator, wave, monk
             want = reference_spectral_radius(hg, operator, DEFAULT_TOL, max_iter)
             assert [getattr(res, f) for f in RESULT_FIELDS] == [getattr(want, f) for f in RESULT_FIELDS]
             assert res.eigenvector.tobytes() == want.eigenvector.tobytes()
+
+
+@given(host_lists(), st.integers(min_value=0, max_value=2**32 - 1))
+@example(WAVE_HOSTS, 0)
+@settings(max_examples=150, deadline=None)
+def test_runs_carried_across_a_freeze_match_runs_rebuilt(hosts, seed):
+    blocks, _, _, edges = _layout(hosts, None)
+    lens = np.array([len(comp) for comp in blocks], dtype=int)
+    keep = np.random.default_rng(seed).random(len(blocks)) < 0.5
+    ends, live = lens.cumsum(), keep.repeat(lens)
+    # the kept blocks' edges, renumbered onto the kept vertices
+    rows = keep.repeat(np.diff(edges[:, 0].searchsorted(ends), prepend=0))
+    rebuilt = _runs((live.cumsum() - 1)[edges[rows]])
+    carried = _keep_blocks(_runs(edges), ends, keep, live)
+    for got, want in zip(carried, rebuilt):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("wave,waves", [(1, 39), (100, 12), (spectral._WAVE_EDGES, 1)])
