@@ -142,19 +142,13 @@ def _monochromatic_vertices(host: Hypergraph) -> list[int]:
     label 0, then the vertex whose flip removes the most monochromatic edges
     is flipped, lowest id first on ties, until no flip removes any.  Each
     flip removes at least one, so there are at most m flips.  A flip of v
-    updates only the gains of the vertices on v's edges, read off a CSR
-    incidence, so the descent costs one sort of the r*m vertex ids to set up
-    and O(r*deg v + n) per flip, the n for the argmax that picks the flip.
+    updates only the gains of the vertices on v's edges, read off the CSR
+    incidence of the host's k covered vertices (`Hypergraph._covered`, one
+    sort per host), so it costs O(r*deg v + k), the k for the argmax.
     """
-    edges, r = host.edge_array, host.r
-    flat = edges.ravel()
-    # the edges at v are at[offsets[v]:offsets[v + 1]]
-    at = np.argsort(flat) // r
-    offsets = np.zeros(host.n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(flat, minlength=host.n), out=offsets[1:])
-    labels = np.zeros(host.n, dtype=np.int64)
+    (_, edges, offsets, at), r = host._covered, host.r
+    labels, slot = np.zeros((2, len(offsets) - 1), dtype=np.int64)  # slot: a vertex's position in one flip
     ones = np.zeros(host.m, dtype=np.int64)  # per edge, its vertices labelled 1
-    slot = np.zeros(host.n, dtype=np.int64)  # scratch: a vertex's position in one flip's members
 
     # share[2c + l]: the gain that an edge with c ones gives a member labelled l,
     # whether the edge is monochromatic (0 or r ones) now less whether it is
@@ -167,7 +161,7 @@ def _monochromatic_vertices(host: Hypergraph) -> list[int]:
         return share[2 * ones_e[:, None] + labels[members]]
 
     # with every label 0, each edge at v is monochromatic and stops being so when v flips
-    gain = offsets[1:] - offsets[:-1]
+    gain = np.diff(offsets)
     # argmax takes the first of equal gains, so the lowest id
     while host.m and gain[v := int(gain.argmax())] > 0:
         e = at[offsets[v] : offsets[v + 1]]
@@ -187,7 +181,7 @@ def _monochromatic_vertices(host: Hypergraph) -> list[int]:
     for color in (ones == 0, ones == r):
         if color.any():
             inside = np.zeros(host.n, dtype=bool)
-            inside[edges[color]] = True
+            inside[host.edge_array[color]] = True
             insides.append(_bitmask(inside))
     return insides
 
@@ -413,14 +407,19 @@ def two_coloring(hg: Hypergraph) -> TwoColoring | None:
     `_colorings`).  On a 3-graph that search races the Fano search (see
     `_race`): a Fano copy proves that no 2-coloring exists, since the Fano
     plane has none, and answers None.  When the Fano search ends first,
-    without a copy, the coloring search runs on alone to its end.
+    without a copy, the coloring search runs on alone to its end.  Vertices
+    on no edge get label 0.
     """
     if hg.r == 3:
         procedure, found = _race(hg, _COLORING)
         labels = found if procedure == _COLORING else None
     else:
         labels = next((found for found in _colorings(hg) if found is not None), None)
-    return None if labels is None else TwoColoring.from_assignment(labels)
+    if labels is None:
+        return None
+    assignment = np.zeros(hg.n, dtype=np.int64)
+    assignment[hg._covered[0]] = labels
+    return TwoColoring.from_assignment(assignment.tolist())
 
 
 # The race's two procedures, and its schedule in deterministic units of work:
@@ -482,17 +481,12 @@ def _colorings(hg: Hypergraph) -> Iterator[list[int] | None]:
     this loses nothing.  Decisions live on an explicit stack, so the search
     depth is not bounded by the recursion limit.
 
-    Vertices with no incident edges get label 0 and no decision: the search
-    runs on the host without them, renumbered in id order, which keeps the
-    search order, so it builds nothing per isolated vertex but its label.
+    It runs on the host's covered vertices, renumbered in id order, which
+    keeps the search order (`Hypergraph._covered`), and yields their labels.
     """
-    present = np.zeros(hg.n, dtype=bool)
-    present[hg.edge_array] = True
-    verts = np.flatnonzero(present)
-    core = hg if len(verts) == hg.n else Hypergraph(hg.r, len(verts), np.searchsorted(verts, hg.edge_array))
-    edges, incidence = core.edges, core.incidence
-    labels = [-1] * core.n
-    order = sorted(range(core.n), key=lambda v: (-len(incidence[v]), v))
+    _, edges, offsets, at = hg._covered
+    labels = [-1] * (len(offsets) - 1)
+    order = np.argsort(-np.diff(offsets), kind="stable").tolist()
     visits = 0
     decisions: list[tuple[int, int, list[int]]] = []  # (position in order, label, trail)
     i, c = 0, 0
@@ -513,9 +507,9 @@ def _colorings(hg: Hypergraph) -> Iterator[list[int] | None]:
             trail.append(v)
             other = 1 - label_v
             # each edge at v holds label_v: unless it holds `other`, its one open vertex is forced
-            for idx in incidence[v]:
+            for edge in edges[at[offsets[v] : offsets[v + 1]]].tolist():
                 open_vertex = None
-                for u in edges[idx]:
+                for u in edge:
                     label = labels[u]
                     if label == other:
                         break
@@ -528,7 +522,7 @@ def _colorings(hg: Hypergraph) -> Iterator[list[int] | None]:
                         monochromatic = True
                         break
                     stack.append((open_vertex, other))
-            visits += len(incidence[v])
+            visits += offsets[v + 1] - offsets[v]
             if visits >= _COLORING_TICK:
                 visits = 0
                 yield None
@@ -546,9 +540,4 @@ def _colorings(hg: Hypergraph) -> Iterator[list[int] | None]:
             if not decisions:
                 return
             i, c, trail = decisions.pop()
-    if core is not hg:
-        full = [0] * hg.n
-        for v, label in zip(verts.tolist(), labels):
-            full[v] = label
-        labels = full
     yield labels

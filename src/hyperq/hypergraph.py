@@ -43,7 +43,8 @@ class Hypergraph:
         edges; each row is strictly increasing and the rows are in
         lexicographic order
     edges : the same edges as a tuple of int tuples (built on first use)
-    incidence : tuple mapping each vertex to the indices of its edges
+    incidence : per vertex, the indices of its edges as a tuple (built on
+        first use); the library's searches read neither view
 
     Raises
     ------
@@ -94,9 +95,7 @@ class Hypergraph:
         Isolated vertices share the one empty tuple, so they cost a slot of
         the outer tuple and nothing else.
         """
-        present = np.zeros(self.n, dtype=bool)
-        present[self.edge_array] = True
-        covered = np.flatnonzero(present).tolist()
+        covered = self._covered[0].tolist()
         lists: list = [()] * self.n
         for v in covered:
             lists[v] = []
@@ -106,6 +105,15 @@ class Hypergraph:
         for v in covered:
             lists[v] = tuple(lists[v])
         return tuple(lists)
+
+    @cached_property
+    def _covered(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(vertices, edges, offsets, at)``: the covered vertices ascending,
+        ``edge_array`` on them renumbered 0..k-1 (rows stay sorted), and the
+        edges at v, ascending, as ``at[offsets[v]:offsets[v + 1]]``."""
+        vertices, local, counts = np.unique(self.edge_array, return_inverse=True, return_counts=True)
+        at = np.argsort(local.ravel(), kind="stable") // self.r
+        return vertices, local.reshape(-1, self.r), np.append(0, counts.cumsum()), at
 
     @property
     def m(self) -> int:

@@ -465,7 +465,7 @@ def rayleigh_maximize_bruteforce(
     n, r = hg.n, hg.r
     if hg.m == 0:
         return 0.0, _edgeless(hg).eigenvector
-    edges = hg.edges
+    edges = hg.edge_array.tolist()
     deg = hg.degrees()
     rng = np.random.default_rng(rng_seed)
     best_val = -1.0

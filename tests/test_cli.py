@@ -244,7 +244,9 @@ def test_verify_report_bytes(runner, key):
     assert res.stdout_bytes == stdout.encode()
 
 
-@pytest.mark.parametrize("command", [["spectral"], ["check", "fano"], ["check", "two-color"]])
+@pytest.mark.parametrize(
+    "command", [["spectral"], ["spectral", "--operator", "a"], ["check", "two-color"]]
+)
 def test_vertex_arrays_beyond_memory_exit_3(runner, tmp_path, command):
     # numpy refuses an array of 2**59 entries before allocating any of it
     path = tmp_path / "wide.txt"
@@ -252,6 +254,15 @@ def test_vertex_arrays_beyond_memory_exit_3(runner, tmp_path, command):
     res = invoke(runner, *command, str(path))
     assert res.exit_code == 3
     assert res.stderr == f"Error: {path}: not enough memory for the arrays of n={2**59} vertices\n"
+
+
+def test_check_fano_on_wide_single_edge(runner, tmp_path):
+    # the coloring that settles it labels only the three covered vertices,
+    # so no array of 2**59 entries is asked for
+    path = tmp_path / "wide.txt"
+    path.write_text(f"3 {2**59} 1\n0 1 2\n")
+    res = invoke(runner, "check", "fano", str(path))
+    assert (res.exit_code, res.stdout) == (0, "fano-free\n")
 
 
 class TestCheck:

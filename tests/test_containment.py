@@ -1,4 +1,5 @@
 import tracemalloc
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from itertools import combinations, permutations, product
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperq import containment
+from hyperq import containment, hypergraph
 from hyperq.containment import (
     Embedding,
     _embeddings,
@@ -282,6 +283,21 @@ def with_gaps(n):
     """B_n with an isolated vertex before, between and after its two parts."""
     hg, coloring = build_bn(n)
     return Hypergraph(3, n + 3, hg.edge_array + 1 + (hg.edge_array >= coloring.part_sizes[0]))
+
+
+def insert_isolated(hg, before):
+    """hg, hg with one isolated vertex inserted before each vertex id in the
+    sorted list before (an id of n appends one), and the order-preserving
+    shift from hg's ids to the new host's."""
+    shift = [v + bisect_right(before, v) for v in range(hg.n)]
+    return hg, Hypergraph(hg.r, hg.n + len(before), np.array(shift, dtype=np.int64)[hg.edge_array]), shift
+
+
+@st.composite
+def with_isolated(draw, hosts):
+    """`insert_isolated` on a drawn host, at up to four drawn positions."""
+    hg = draw(hosts)
+    return insert_isolated(hg, sorted(draw(st.lists(st.integers(0, hg.n), max_size=4))))
 
 
 def build_defect(n, a):
@@ -777,3 +793,41 @@ class TestRace:
         assert free is True and free_peak <= 16e6 and not cached
         assert coloring_peak <= 40e6
         assert len(coloring.assignment) == 10**6 and coloring.is_proper_for(hg)
+
+    @given(with_isolated(hypergraphs(max_n=9, rs=(3,), max_m=40) | bn_subgraphs()))
+    # isolated vertices inside the span of the witness (0, 7, 10, 8, 11, 9, 12)
+    @example(insert_isolated(with_edges(build_bn(20)[0], [(7, 8, 9)]), [0, 8, 15, 20]))
+    @example(insert_isolated(build_bn(9)[0], [0, 5, 5, 9]))
+    @settings(max_examples=60, deadline=None)
+    def test_isolated_vertices_change_no_answer(self, fano, drawn):
+        hg, wide, shift = drawn
+        assert is_fano_free(wide) == is_fano_free(hg)
+        for find in (_fano_copy, lambda host: contains_subgraph(host, fano)):
+            found = find(hg)
+            assert find(wide) == (None if found is None else Embedding(tuple(shift[v] for v in found.mapping)))
+        coloring = two_coloring(hg)
+        if coloring is None:
+            assert two_coloring(wide) is None
+        else:
+            labels = [0] * wide.n
+            for v, label in zip(shift, coloring.assignment):
+                labels[v] = label
+            assert two_coloring(wide) == TwoColoring.from_assignment(labels)
+
+    def test_wide_host_settled_by_its_coloring(self):
+        # the coloring search labels only the 9 covered vertices, and its
+        # coloring settles the race, so nothing of 2**59 entries is allocated
+        assert is_fano_free(Hypergraph(3, 2**59, build_bn(9)[0].edge_array)) is True
+
+    def test_searches_read_the_covered_view_only(self, fano, monkeypatch):
+        host = with_edges(build_bn(20)[0], [(7, 8, 9)])
+        assert is_fano_free(host) is False and two_coloring(host) is None
+        assert contains_subgraph(host, fano) is not None
+        assert "edges" not in host.__dict__ and "incidence" not in host.__dict__
+        # one isolated vertex builds no renumbered sub-host
+        gapped = Hypergraph(3, 81, with_edges(build_bn(80)[0], [(0, 1, 5)]).edge_array)
+        calls = []
+        canonical = hypergraph._canonical_edges
+        monkeypatch.setattr(hypergraph, "_canonical_edges", lambda *args: calls.append(args) or canonical(*args))
+        assert two_coloring(gapped) is None
+        assert calls == []

@@ -8,7 +8,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperq import hypergraph
@@ -480,6 +480,21 @@ def test_incidence_built_from_edges():
     assert "edges" not in hg.__dict__
     assert [len(ids) for ids in hg.incidence] == hg.degrees()
     assert "edges" in hg.__dict__
+
+
+@given(hypergraphs(max_n=12, max_m=20))
+# a sparse range: 6 covered vertices among 2**40
+@example(Hypergraph(3, 2**40, [(0, 2**16, 2**40 - 1), (5, 2**16, 2**33), (5, 6, 2**16)]))
+@settings(max_examples=60, deadline=None)
+def test_covered_view(hg):
+    vertices, edges, offsets, at = hg._covered
+    covered = sorted({v for e in hg.edges for v in e})
+    rank = {v: i for i, v in enumerate(covered)}
+    assert vertices.tolist() == covered
+    assert edges.tolist() == [[rank[v] for v in e] for e in hg.edges]
+    incident = [[i for i, e in enumerate(hg.edges) if v in e] for v in covered]
+    assert [at[a:b].tolist() for a, b in zip(offsets[:-1], offsets[1:])] == incident
+    assert hg._covered[0] is vertices  # built once
 
 
 class TestRandomConnected:
