@@ -66,7 +66,8 @@ def contains_subgraph(host: Hypergraph, pattern: Hypergraph) -> Embedding | None
     Forward checking (Haralick & Elliott, Artif. Intell. 14, 1980): once a
     pattern edge has a single unplaced vertex q, q's domain is cut to the
     host vertices completing the images of the other r-1 vertices to a host
-    edge, read off a completion index built once per call.  A placement
+    edge, read off the host's completion index (`Hypergraph._completions`,
+    built once per host and kept for its later searches).  A placement
     that leaves some such domain without an unused vertex is undone at
     once, so a dead branch is cut where it is made rather than where it
     runs dry; the embeddings found and their order do not change.
@@ -186,45 +187,6 @@ def _monochromatic_vertices(host: Hypergraph) -> list[int]:
     return insides
 
 
-def _completion_index(host: Hypergraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For every (r-1)-subset of a host edge, the host vertices completing it
-    to an edge, in CSR form: ``(keys, offsets, completers)``.
-
-    ``keys`` holds the distinct subsets in lexicographic order, one row per
-    position (shape ``(r-1, u)``, each row contiguous for `searchsorted`);
-    the completers of subset j are ``completers[offsets[j]:offsets[j + 1]]``.
-    Every temporary is an array of r*m or fewer entries, freed on return.
-
-    The rows are sorted by `np.lexsort` over int64 words, each packing as
-    many consecutive id columns as fit in 63 bits; for n^(r-1) < 2^63 that
-    is one word, and a stable sort of one packed key is about twice as
-    fast as a lexsort over the columns.
-    """
-    edges, r, m = host.edge_array, host.r, host.m
-    bits = max(1, (host.n - 1).bit_length())
-    per = 63 // bits
-    # row i*m + e is edge e without its i-th vertex, which completes it;
-    # word k packs the row's remaining ids per*k .. per*k + per - 1
-    words = []
-    for s in range(0, r - 1, per):
-        words.append(np.zeros(r * m, dtype=np.int64))
-        for j in range(s, min(s + per, r - 1)):
-            words[-1] <<= bits
-            words[-1] |= np.concatenate([edges[:, j + (j >= i)] for i in range(r)])
-    order = np.lexsort(words[::-1])
-    new = np.zeros(len(order), dtype=bool)
-    new[:1] = True
-    for w in words:
-        w = w[order]
-        new[1:] |= w[1:] != w[:-1]
-    del words, w  # free the r*m-entry words before the completers are gathered
-    starts = np.flatnonzero(new)
-    i, e = np.divmod(order[starts], m)
-    j = np.arange(r - 1)[:, None]
-    keys = edges[e, j + (j >= i)]
-    return keys, np.append(starts, len(order)), edges.T.ravel()[order]
-
-
 def _embeddings(
     host: Hypergraph,
     pattern: Hypergraph,
@@ -253,8 +215,9 @@ def _search(
     `contains_subgraph`); a completer mask
     is built the first time the search reads its key and kept until the
     generator ends or is closed, since one mask per key would cost up to
-    n/8 bytes each.  The completion index is built on the first `next`, and
-    the coloring prune's masks (see `contains_subgraph`) on the first `next`
+    n/8 bytes each.  The host's completion index is built on the first
+    `next` of the first search on that host, and cached on it; the coloring
+    prune's masks (see `contains_subgraph`) are built on the first `next`
     after the first tick, when the pattern has no proper 2-coloring.
 
     Known limit: a mask's size follows the highest completer id, not the
@@ -280,7 +243,7 @@ def _search(
         else:
             bounds[level[b]].append((a, False))
 
-    keys, offsets, completers = _completion_index(host)
+    keys, offsets, completers = host._completions
     # completer masks by the images of r-1 pattern vertices, in the order the
     # search reads them; every order of one subset shares the int of its
     # sorted order, so a mask is stored once and only a miss pays a sort
@@ -373,7 +336,7 @@ def _search(
         yield from extend(0, 0, domains)
     finally:
         # extend refers to itself through its closure: drop that cycle, which
-        # holds the completion index and the masks, without waiting for gc
+        # holds the masks, without waiting for gc
         del extend
 
 
@@ -428,7 +391,8 @@ def two_coloring(hg: Hypergraph) -> TwoColoring | None:
 # _SEARCH_TICK search nodes.  One tick of either costs about the same, a
 # fraction of a millisecond.  The coloring goes first: on small 2-colorable
 # hosts, and on hosts where propagation alone refutes a coloring, it ends
-# within its first tick, before the search has paid for its completion index.
+# within its first tick, before the search has started, so a fresh host's
+# completion index is never built.
 _COLORING, _SEARCH = 0, 1
 _COLORING_TICK = 2048
 _SEARCH_TICK = 16
@@ -445,8 +409,8 @@ def _race(hg: Hypergraph, question: int) -> tuple[int, list[int] | tuple[int, ..
     The other procedure ending without a certificate settles nothing (a
     host with no 2-coloring may still be Fano-free, and a Fano-free host
     need not be 2-colorable), so the named one then runs on alone.  Both
-    generators are closed before returning, which frees the completion
-    index and the masks.
+    generators are closed before returning, which frees the masks; the
+    host keeps its completion index for the next question on it.
     """
     procedures = (_colorings(hg), _search(hg, _FANO, _symmetry_conditions(_FANO)))
     running = [_COLORING, _SEARCH]

@@ -115,6 +115,48 @@ class Hypergraph:
         at = np.argsort(local.ravel(), kind="stable") // self.r
         return vertices, local.reshape(-1, self.r), np.append(0, counts.cumsum()), at
 
+    @cached_property
+    def _completions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For every (r-1)-subset of an edge, the vertices completing it to an
+        edge, in CSR form: ``(keys, offsets, completers)``.
+
+        ``keys`` holds the distinct subsets in lexicographic order, one row per
+        position (shape ``(r-1, u)``, each row contiguous for `searchsorted`);
+        the completers of subset j are ``completers[offsets[j]:offsets[j + 1]]``.
+        ``keys`` and ``completers`` hold ids in the smallest dtype that fits
+        n - 1 (uint8 up to n = 256, where ``completers`` takes r*m bytes), so
+        the index is cheap to keep; every temporary is an array of r*m or
+        fewer entries.
+
+        The rows are sorted by `np.lexsort` over int64 words, each packing as
+        many consecutive id columns as fit in 63 bits; for n^(r-1) < 2^63 that
+        is one word, and a stable sort of one packed key is about twice as
+        fast as a lexsort over the columns.
+        """
+        edges, r, m = self.edge_array, self.r, self.m
+        bits = max(1, (self.n - 1).bit_length())
+        per = 63 // bits
+        # row i*m + e is edge e without its i-th vertex, which completes it;
+        # word k packs the row's remaining ids per*k .. per*k + per - 1
+        words = []
+        for s in range(0, r - 1, per):
+            words.append(np.zeros(r * m, dtype=np.int64))
+            for j in range(s, min(s + per, r - 1)):
+                words[-1] <<= bits
+                words[-1] |= np.concatenate([edges[:, j + (j >= i)] for i in range(r)])
+        order = np.lexsort(words[::-1])
+        new = np.zeros(len(order), dtype=bool)
+        new[:1] = True
+        for w in words:
+            w = w[order]
+            new[1:] |= w[1:] != w[:-1]
+        del words, w  # free the r*m-entry words before the completers are gathered
+        starts = np.flatnonzero(new)
+        i, e = np.divmod(order[starts], m)
+        ids = edges.astype(np.min_scalar_type(max(self.n - 1, 0)))
+        j = np.arange(r - 1)[:, None]
+        return ids[e, j + (j >= i)], np.append(starts, len(order)), ids.T.ravel()[order]
+
     @property
     def m(self) -> int:
         """Number of edges."""

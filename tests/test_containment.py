@@ -1,6 +1,7 @@
 import tracemalloc
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
+from functools import cached_property
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -447,6 +448,8 @@ class TestContainsSubgraph:
 # an edge and a second edge through its first two vertices: the order places
 # 0, 1, 2, 3, so 2 comes after both 0 and 1
 TWO_EDGES = Hypergraph(3, 4, [(0, 1, 2), (0, 1, 3)])
+# vertex counts whose top id n - 1 lies on either side of 255 and of 65535
+ID_WIDTH_EDGES = (255, 256, 257, 258, 65535, 65536, 65537, 65538)
 
 
 class TestSearchAgainstReference:
@@ -490,6 +493,35 @@ class TestSearchAgainstReference:
         expected = [tuple(ids[h] for h in emb) for emb in reference_embeddings(host, pattern, conditions, pinned)]
         spread_pins = {v: ids[h] for v, h in pinned.items()}
         assert list(_embeddings(spread, pattern, conditions, spread_pins)) == expected
+
+    @given(search_problems(rs=(2, 3, 4)), st.sampled_from(ID_WIDTH_EDGES), st.data())
+    # K_5^r's top vertex 4 becomes n - 1, at the last id of each width and the first past it
+    @example((build_complete(5, 3), TWO_EDGES, ((0, 2),), {1: 4}), 256, None)
+    @example((build_complete(5, 2), Hypergraph(2, 3, [(0, 1), (1, 2), (0, 2)]), (), None), 257, None)
+    @example((build_complete(5, 4), Hypergraph(4, 5, [(0, 1, 2, 3), (1, 2, 3, 4)]), ((0, 4),), None), 65536, None)
+    @example((build_complete(5, 3), TWO_EDGES, (), {0: 4}), 65537, None)
+    @settings(max_examples=60, deadline=None)
+    def test_ids_in_every_index_dtype(self, problem, n, data):
+        # the completion index stores ids as uint8 up to n = 256, uint16 up to
+        # 2^16 and uint32 up to 2^32.  The host is widened by isolated vertices
+        # to n, and the reference runs on the compact host, its embeddings
+        # mapped through the increasing shift; a pattern without isolated
+        # vertices maps onto covered host vertices only, so they agree
+        host, pattern, conditions, pinned = problem
+        pattern = without_isolated(pattern)
+        conditions = tuple((a, b) for a, b in conditions if max(a, b) < pattern.n)
+        pinned = {v: h for v, h in (pinned or {}).items() if v < pattern.n}
+        if data is None:
+            before = [0] * (n - host.n)
+        else:
+            at = data.draw(st.lists(st.integers(0, host.n), min_size=1, max_size=3))
+            before = sorted(at[k % len(at)] for k in range(n - host.n))
+        host, wide, shift = insert_isolated(host, before)
+        assert wide.n == n
+        expected = [tuple(shift[h] for h in emb) for emb in reference_embeddings(host, pattern, conditions, pinned)]
+        wide_pins = {v: shift[h] for v, h in pinned.items()}
+        assert list(_embeddings(wide, pattern, conditions, wide_pins)) == expected
+        assert wide._completions[2].dtype == np.min_scalar_type(n - 1)
 
     @pytest.mark.parametrize("pattern", [build_fano(), build_complete(4, 3)], ids=["fano", "k4"])
     def test_symmetry_conditions(self, pattern):
@@ -831,3 +863,55 @@ class TestRace:
         monkeypatch.setattr(hypergraph, "_canonical_edges", lambda *args: calls.append(args) or canonical(*args))
         assert two_coloring(gapped) is None
         assert calls == []
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The hosts whose completion index is built from now on, in build order."""
+    built = []
+    build = Hypergraph.__dict__["_completions"].func
+    spy = cached_property(lambda hg: built.append(hg) or build(hg))
+    spy.__set_name__(Hypergraph, "_completions")
+    monkeypatch.setattr(Hypergraph, "_completions", spy)
+    return built
+
+
+class TestCompletionIndex:
+    """The completion index is a cached view of the host (`Hypergraph._completions`):
+    built by the first search on a host and read by every later one."""
+
+    def test_built_once_per_host(self, fano, builds):
+        _symmetry_conditions(containment._FANO)  # the race's pattern, so its index is not counted below
+        builds.clear()
+        host = with_edges(build_bn(20)[0], [(7, 8, 9)])
+        assert is_fano_free(host) is False
+        assert len(builds) == 1 and builds[0] is host
+        index = host._completions
+        assert _fano_copy(host) == contains_subgraph(host, fano) is not None
+        assert two_coloring(host) is None
+        assert len(builds) == 1 and host._completions is index
+        twin = Hypergraph(3, host.n, host.edge_array)
+        assert contains_subgraph(twin, fano) == contains_subgraph(host, fano)
+        assert len(builds) == 2 and builds[1] is twin and twin._completions is not index
+
+    def test_symmetry_conditions_build_the_pattern_index_once(self, builds):
+        # n(n-1)/2 pinned pattern-into-pattern searches share one index
+        pattern = build_fano()
+        assert _symmetry_conditions.__wrapped__(pattern) == reference_symmetry_conditions(pattern)
+        assert len(builds) == 1 and builds[0] is pattern
+
+    def test_later_queries_allocate_little(self, fano):
+        host = with_edges(build_bn(80)[0], [(0, 1, 9)])
+        witness = contains_subgraph(host, fano)
+        assert is_fano_free(host) is False
+        keys, offsets, completers = host._completions
+        assert keys.dtype == completers.dtype == np.uint8
+        assert completers.nbytes == host.r * host.m
+        for ask, answer in ((lambda: contains_subgraph(host, fano), witness), (lambda: is_fano_free(host), False)):
+            tracemalloc.start()
+            try:
+                assert ask() == answer
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2e6
