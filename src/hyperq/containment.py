@@ -43,14 +43,13 @@ class Embedding:
     mapping: tuple[int, ...]
 
     def is_valid_for(self, host: Hypergraph, pattern: Hypergraph) -> bool:
-        if len(self.mapping) != pattern.n or host.r != pattern.r:
-            return False
-        if len(set(self.mapping)) != pattern.n:
+        if len(self.mapping) != pattern.n or host.r != pattern.r or len(set(self.mapping)) != pattern.n:
             return False
         if any(not 0 <= h < host.n for h in self.mapping):
             return False
         images = np.sort(np.array(self.mapping)[pattern.edge_array], axis=1)
-        return all((host.edge_array == f).all(axis=1).any() for f in images)
+        runs = (_equal_run(host.edge_array.T, f) for f in images.tolist())
+        return all(lo < hi for lo, hi in runs)
 
 
 def contains_subgraph(host: Hypergraph, pattern: Hypergraph) -> Embedding | None:
@@ -127,6 +126,15 @@ def _symmetry_conditions(pattern: Hypergraph) -> tuple[tuple[int, int], ...]:
 def _colorable(pattern: Hypergraph) -> bool:
     """Whether pattern has a proper 2-coloring, by `_colorings`."""
     return any(found is not None for found in _colorings(pattern))
+
+
+def _equal_run(columns: np.ndarray, ids) -> tuple[int, int]:
+    """The rows [lo, hi) that start with ids, of rows in lexicographic order
+    given column by column: one binary search per column."""
+    lo, hi = 0, columns.shape[1]
+    for col, h in zip(columns, ids):
+        lo, hi = lo + int(col[lo:hi].searchsorted(h)), lo + int(col[lo:hi].searchsorted(h, "right"))
+    return lo, hi
 
 
 def _bitmask(flags: np.ndarray) -> int:
@@ -253,10 +261,7 @@ def _search(
         subset = tuple(sorted(images))
         mask = masks.get(subset)
         if mask is None:
-            lo, hi = 0, len(offsets) - 1
-            for col, h in zip(keys, subset):
-                part = col[lo:hi]
-                lo, hi = lo + int(part.searchsorted(h)), lo + int(part.searchsorted(h, "right"))
+            lo, hi = _equal_run(keys, subset)
             # a key's completers close distinct edges, so they differ and their sum is their OR
             mask = sum(1 << h for h in completers[offsets[lo] : offsets[hi]].tolist())
             masks[subset] = mask

@@ -427,7 +427,7 @@ def spectral_radius(
 
 
 def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section maximum of a 1-D concave function on [lo, hi]."""
+    """Golden-section maximum of a concave f on [lo, hi], for `rayleigh_maximize_bruteforce`."""
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)
     f1, f2 = f(x1), f(x2)

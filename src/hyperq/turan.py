@@ -5,17 +5,21 @@ Centerpiece formulas: the Fano Turán count
     ex(n) = C(n,3) - C(floor(n/2),3) - C(ceil(n/2),3),
 
 the signless Laplacian radius bounds for the balanced complete two-part
-3-graph B_n, and the two-block reduction
+3-graph B_n, and q of the complete two-part 3-graph with part sizes (a, b).
+Both parts are orbits of its automorphism group, so the eigenvector is x on
+part one and y on part two.  The parts' eigenequations, with the degrees
+d_A = (a-1)b + C(b,2) and d_B = a(b-1) + C(a,2), give q = d_A + (a-1)b t +
+C(b,2) t^2 at t = y/x, the unique positive root (one sign change) of
+
+    p(t) = C(b,2) t^4 + (a-1)b t^3 + (d_A - d_B) t^2 - a(b-1) t - C(a,2).
+
+This q is the maximum of the Rayleigh objective, reached at u = x^3, v = y^3:
 
     C'(a,b,u,v) = b*C(a,2)*(2u + v + 3 u^(2/3) v^(1/3))
-                + a*C(b,2)*(2v + u + 3 u^(1/3) v^(2/3)),   a*u + b*v = 1,
+                + a*C(b,2)*(2v + u + 3 u^(1/3) v^(2/3)),   a*u + b*v = 1.
 
-whose constrained maximum equals q of the complete two-part 3-graph with
-part sizes (a, b): both parts are orbits of the automorphism group, so
-the positive eigenvector is constant on each part and the Rayleigh
-maximization collapses to one variable.  The checks below evaluate these
-quantities and compare them at user-chosen sizes; they are desk-scale
-evidence, not proofs of the asymptotic statements.
+The checks below evaluate these quantities and compare them at user-chosen
+sizes; they are desk-scale evidence, not proofs of the asymptotic statements.
 """
 
 import math
@@ -32,7 +36,6 @@ from .spectral import (
     DEFAULT_TOL,
     SIGNLESS_LAPLACIAN,
     SpectralResult,
-    _golden_max,
     _radii,
     spectral_radius,
 )
@@ -64,10 +67,9 @@ def bn_q_bounds(n: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class SplitProfile:
-    """Optimum of the two-block reduction for part sizes (a, b).
-
-    u and v are the per-part cube weights (u = x^3, v = y^3) subject to
-    a*u + b*v = 1; q_value is the maximized objective.
+    """q of the complete two-part 3-graph with part sizes (a, b): x and y are
+    the eigenvector on part one and part two, scaled to a*x^3 + b*y^3 = 1,
+    with cube weights u = x^3 and v = y^3; q_value is q, the maximum of C'.
     """
 
     n: int
@@ -150,29 +152,28 @@ class ExtremalityReport:
 
 
 def two_block_q(a: int, b: int) -> SplitProfile:
-    """Maximize the two-block objective for part sizes (a, b).
-
-    Eliminating v through the constraint leaves a concave 1-D objective
-    in u (linear terms plus weighted geometric means), so golden-section
-    search over u in (0, 1/a) finds the global maximum.  The result
-    equals q of the complete two-part 3-graph with these part sizes.
-    """
+    """q of the complete two-part 3-graph with parts (a, b), from the root t
+    of p (module docstring) with the smaller part first: bisection from
+    [0, hi], hi doubled until p(hi) > 0, to adjacent floats lo < hi with
+    p(lo) <= 0 < p(hi), and t = lo.  (b, a) mirrors (a, b) bit for bit, and
+    an even split has t = 1 and q = 3a^2 - 3a exactly."""
     if a < 1 or b < 1 or a + b < 3:
         raise ArgumentRangeError(f"parts must satisfy a, b >= 1 and a + b >= 3, got ({a}, {b})")
-    n = a + b
-    ca = b * math.comb(a, 2)
-    cb = a * math.comb(b, 2)
+    small, large = min(a, b), max(a, b)
+    c4, c3 = math.comb(large, 2), (small - 1) * large
+    c2 = c3 + c4 - small * (large - 1) - math.comb(small, 2)
 
-    def objective(u: float) -> float:
-        v = (1.0 - a * u) / b
-        return ca * (2.0 * u + v + 3.0 * u ** (2.0 / 3.0) * v ** (1.0 / 3.0)) + cb * (
-            2.0 * v + u + 3.0 * u ** (1.0 / 3.0) * v ** (2.0 / 3.0)
-        )
+    def p(t: float) -> float:
+        return (((c4 * t + c3) * t + c2) * t - small * (large - 1)) * t - math.comb(small, 2)
 
-    delta = 1e-12
-    u, q = _golden_max(objective, delta, 1.0 / a - delta)
-    v = (1.0 - a * u) / b
-    return SplitProfile(n, a, b, u, v, q, u ** (1.0 / 3.0), v ** (1.0 / 3.0))
+    lo, hi = 0.0, 1.0
+    while p(hi) <= 0.0:
+        hi *= 2.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (lo, mid) if p(mid) > 0.0 else (mid, hi)
+    x = (small + large * lo**3) ** (-1.0 / 3.0)
+    x, y = (x, lo * x) if a <= b else (lo * x, x)
+    return SplitProfile(a + b, a, b, x**3, y**3, c3 + c4 + (c3 + c4 * lo) * lo, x, y)
 
 
 def scan_splits(n: int) -> tuple[list[SplitProfile], int]:
@@ -306,7 +307,7 @@ def verify_extremality(
 ) -> ExtremalityReport:
     """Sampled check that B_n beats its Fano-free competitors on q.
 
-    Competitors: every unbalanced complete split, `samples` random edge
+    Competitors: every unbalanced split of `scan_splits`, `samples` random edge
     deletions from B_n, and `samples` random sub-hypergraphs of complete
     two-part 3-graphs.  Each must stay below q(B_n) by more than 1e-8.
     Desk-scale evidence for the extremal statement, not a proof.  B_n and
@@ -341,17 +342,11 @@ def verify_extremality(
     solved = _radii(hosts(), SIGNLESS_LAPLACIAN, tol, max_iter)
     q_ref = _converged(next(solved), n, base.m).rho
 
-    competitors = []
-
-    def add(kind, detail, q):
-        margin = q_ref - q
-        competitors.append(CompetitorRecord(kind, detail, q, margin, margin > 1e-8))
-
-    for a in range(1, n):
-        if abs(2 * a - n) > 1:
-            add("unbalanced-split", f"a={a} b={n - a}", two_block_q(a, n - a).q_value)
-    for res, (kind, detail, m) in zip(solved, drawn):  # each result is drawn before its entry is read
-        add(kind, detail, _converged(res, n, m).rho)
+    profiles, _ = scan_splits(n)
+    scored = [("unbalanced-split", f"a={p.a} b={p.b}", p.q_value) for p in profiles if abs(2 * p.a - n) > 1]
+    # each result is drawn before its entry is read
+    scored += [(kind, detail, _converged(res, n, m).rho) for res, (kind, detail, m) in zip(solved, drawn)]
+    competitors = [CompetitorRecord(kind, detail, q, q_ref - q, q_ref - q > 1e-8) for kind, detail, q in scored]
 
     max_q = max(c.q for c in competitors)
     return ExtremalityReport(

@@ -4,7 +4,8 @@ before `spectral` and `check` were routed through `hyperq.reporting`.
 `CHECK` is keyed by (check, host, format), with hosts K_7, B_9, the Fano
 plane and B_8 as written by `hyperq gen`; `VERIFY` by (verify arguments,
 format).  Each value is (exit code, stdout).  The `VERIFY` floats are those
-of version 0.2.0, whose adjacency kernel sums over runs of shared prefixes."""
+of version 0.3.0, whose adjacency kernel sums over runs of shared prefixes
+and whose two-part q is the root of the eigenequations' quartic."""
 
 CHECK = {
     ('fano', 'k7', 'text'): (1, (
@@ -191,7 +192,7 @@ VERIFY = {
     )),
     ('splits 8:10', 'text'): (0, (
         'op      n   inputs  value              bound     pass\n'
-        'splits  8   a=1..7  35.99999999999999  best_a=4  true\n'
+        'splits  8   a=1..7  36.0               best_a=4  true\n'
         'splits  9   a=1..8  46.88106388027148  best_a=5  true\n'
         'splits  10  a=1..9  60.0               best_a=5  true\n'
     )),
@@ -201,7 +202,7 @@ VERIFY = {
         '    "op": "splits",\n'
         '    "n": 8,\n'
         '    "inputs": "a=1..7",\n'
-        '    "value": 35.99999999999999,\n'
+        '    "value": 36.0,\n'
         '    "bound": "best_a=4",\n'
         '    "pass": true\n'
         '  },\n'
@@ -225,18 +226,18 @@ VERIFY = {
     )),
     ('splits 8:10', 'csv'): (0, (
         'op,n,inputs,value,bound,pass\n'
-        'splits,8,a=1..7,35.99999999999999,best_a=4,true\n'
+        'splits,8,a=1..7,36.0,best_a=4,true\n'
         'splits,9,a=1..8,46.88106388027148,best_a=5,true\n'
         'splits,10,a=1..9,60.0,best_a=5,true\n'
     )),
     ('criterion 50:52', 'text'): (0, (
-        'op          n   inputs                  value                bound               pass\n'
-        'condition1  50  pi=0.75 r=3 sigma=0.05  37.5                 125.0               true\n'
-        'condition1  51  pi=0.75 r=3 sigma=0.05  50.375               130.05              true\n'
-        'condition1  52  pi=0.75 r=3 sigma=0.05  39.0                 135.20000000000002  true\n'
-        'condition2  50  pi=0.75 r=3 sigma=0.05  0.0                  2.5                 true\n'
-        'condition2  51  pi=0.75 r=3 sigma=0.05  0.34574887501685225  2.5500000000000003  true\n'
-        'condition2  52  pi=0.75 r=3 sigma=0.05  0.0                  2.6                 true\n'
+        'op          n   inputs                  value               bound               pass\n'
+        'condition1  50  pi=0.75 r=3 sigma=0.05  37.5                125.0               true\n'
+        'condition1  51  pi=0.75 r=3 sigma=0.05  50.375              130.05              true\n'
+        'condition1  52  pi=0.75 r=3 sigma=0.05  39.0                135.20000000000002  true\n'
+        'condition2  50  pi=0.75 r=3 sigma=0.05  0.0                 2.5                 true\n'
+        'condition2  51  pi=0.75 r=3 sigma=0.05  0.3457488750163975  2.5500000000000003  true\n'
+        'condition2  52  pi=0.75 r=3 sigma=0.05  0.0                 2.6                 true\n'
     )),
     ('criterion 50:52', 'json'): (0, (
         '[\n'
@@ -276,7 +277,7 @@ VERIFY = {
         '    "op": "condition2",\n'
         '    "n": 51,\n'
         '    "inputs": "pi=0.75 r=3 sigma=0.05",\n'
-        '    "value": 0.34574887501685225,\n'
+        '    "value": 0.3457488750163975,\n'
         '    "bound": 2.5500000000000003,\n'
         '    "pass": true\n'
         '  },\n'
@@ -296,7 +297,7 @@ VERIFY = {
         'condition1,51,pi=0.75 r=3 sigma=0.05,50.375,130.05,true\n'
         'condition1,52,pi=0.75 r=3 sigma=0.05,39.0,135.20000000000002,true\n'
         'condition2,50,pi=0.75 r=3 sigma=0.05,0.0,2.5,true\n'
-        'condition2,51,pi=0.75 r=3 sigma=0.05,0.34574887501685225,2.5500000000000003,true\n'
+        'condition2,51,pi=0.75 r=3 sigma=0.05,0.3457488750163975,2.5500000000000003,true\n'
         'condition2,52,pi=0.75 r=3 sigma=0.05,0.0,2.6,true\n'
     )),
     ('deletion 7:9', 'text'): (0, (

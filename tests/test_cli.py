@@ -429,7 +429,7 @@ class TestVerify:
 def test_version_from_the_package(runner):
     res = invoke(runner, "--version")
     assert res.exit_code == 0
-    assert res.output == "hyperq, version 0.2.0\n"
+    assert res.output == "hyperq, version 0.3.0\n"
 
 
 def test_pyproject_reads_the_package_version():

@@ -369,6 +369,34 @@ class TestEmbeddingType:
         assert not Embedding((1, 2, 3)).is_valid_for(host, single)
         assert Embedding((2, 1, 0)).is_valid_for(host, single)
 
+    @given(problem=search_problems(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_comparison_with_every_host_row(self, problem, data):
+        host, pattern, _, _ = problem
+
+        def reference(mapping):
+            """is_valid_for with each image edge compared to every host row."""
+            if len(mapping) != pattern.n or host.r != pattern.r:
+                return False
+            if len(set(mapping)) != pattern.n:
+                return False
+            if any(not 0 <= h < host.n for h in mapping):
+                return False
+            images = np.sort(np.array(mapping)[pattern.edge_array], axis=1)
+            return all((host.edge_array == f).all(axis=1).any() for f in images)
+
+        found = contains_subgraph(host, pattern)
+        kind = data.draw(st.sampled_from(["found", "injective", "any"]))
+        if kind == "found" and found is not None:
+            mapping = found.mapping
+        elif kind == "injective":
+            mapping = tuple(data.draw(st.permutations(range(host.n)))[: pattern.n])
+        else:
+            mapping = tuple(data.draw(st.lists(st.integers(-1, host.n), max_size=pattern.n + 1)))
+        assert Embedding(mapping).is_valid_for(host, pattern) == reference(mapping)
+        if found is not None:
+            assert found.is_valid_for(host, pattern)
+
 
 class TestContainsSubgraph:
     def test_fano_in_k7(self, fano):

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from hyperq import turan
 from hyperq.errors import ArgumentRangeError, DisconnectedError, NoConvergenceError, TooSmallError
 from hyperq.hypergraph import Hypergraph, build_bn, build_complete, build_two_part_complete, random_connected
-from hyperq.spectral import spectral_radius
+from hyperq.spectral import apply_signless_laplacian, spectral_radius
 from hyperq.turan import (
     CriterionParams,
     CriterionRecord,
@@ -110,7 +111,51 @@ class TestTwoBlockQ:
     def test_swap_symmetry(self, a, b):
         if a + b < 3:
             return
-        assert two_block_q(a, b).q_value == pytest.approx(two_block_q(b, a).q_value, abs=1e-9)
+        p, mirror = two_block_q(a, b), two_block_q(b, a)
+        assert (mirror.q_value, mirror.u, mirror.v, mirror.x, mirror.y) == (p.q_value, p.v, p.u, p.y, p.x)
+
+    def test_even_split_is_exact(self):
+        for a in range(2, 201):
+            assert two_block_q(a, a).q_value == 3 * a * a - 3 * a
+
+    def test_root_within_ulps_of_the_exact_root(self):
+        # t = y/x of the profile lies within ROOT_ULPS ulps of the exact root
+        # of p: the float bisection stops where the float p changes sign, and
+        # y = t*x rounds once more (over a + b <= 300 at most 3 are needed)
+        ROOT_ULPS = 3
+
+        def p(a, b, t):
+            t = Fraction(t)
+            c4, c3 = math.comb(b, 2), (a - 1) * b
+            c2 = c3 + c4 - a * (b - 1) - math.comb(a, 2)
+            return (((c4 * t + c3) * t + c2) * t - a * (b - 1)) * t - math.comb(a, 2)
+
+        for n in range(3, 301):
+            for a in range(1, n // 2 + 1):
+                profile = two_block_q(a, n - a)
+                t = profile.y / profile.x
+                below = above = t
+                for _ in range(ROOT_ULPS):
+                    below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+                assert p(a, n - a, below) <= 0 <= p(a, n - a, above), (a, n - a)
+
+    def test_balanced_odd_split_in_bounds(self):
+        for n in range(5, 402, 2):
+            lower, upper = bn_q_bounds(n)
+            assert lower <= two_block_q((n + 1) // 2, n // 2).q_value <= upper
+
+    @pytest.mark.parametrize("n", list(range(3, 61)) + [199])
+    def test_lifted_vector_certifies_q(self, n):
+        # x on part one and y on part two give Collatz-Wielandt ratios
+        # (Qv)_i / v_i^2 that bracket q; here they agree to 1e-12 relative
+        for a in range(1, n) if n <= 60 else [(n + 1) // 2]:
+            p = two_block_q(a, n - a)
+            hg, _ = build_two_part_complete(a, n - a)
+            v = np.array([p.x] * a + [p.y] * (n - a))
+            ratios = apply_signless_laplacian(hg, v) / v**2
+            slack = 1e-12 * p.q_value
+            assert ratios.max() - ratios.min() <= slack
+            assert ratios.min() - slack <= p.q_value <= ratios.max() + slack
 
     @pytest.mark.parametrize("n", range(4, 25))
     def test_matches_power_iteration_all_splits(self, n):
